@@ -17,6 +17,7 @@ module App = Dhdl_apps.App
 module Explore = Dhdl_dse.Explore
 module Eval = Dhdl_dse.Eval
 module Obs = Dhdl_obs.Obs
+module Json = Dhdl_util.Json
 
 let seed = 2016
 
@@ -209,52 +210,97 @@ let run_dseperf ~quick () =
   in
   let sym_on, gen_on = sym_run ~symbolic:true in
   let sym_off, gen_off = sym_run ~symbolic:false in
+  let num x = Json.Float x and int n = Json.Int n in
   let sym_side (r : Explore.result) calls =
-    Printf.sprintf
-      "{\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"generate_calls\":%d,\"sym_pruned\":%d,\"lint_pruned\":%d,\"absint_pruned\":%d,\"dep_pruned\":%d}"
-      r.Explore.elapsed_seconds (pps r) calls r.Explore.sym_pruned r.Explore.lint_pruned
-      r.Explore.absint_pruned r.Explore.dep_pruned
+    Json.Obj
+      [
+        ("elapsed_s", num r.Explore.elapsed_seconds);
+        ("points_per_sec", num (pps r));
+        ("generate_calls", int calls);
+        ("sym_pruned", int r.Explore.sym_pruned);
+        ("lint_pruned", int r.Explore.lint_pruned);
+        ("absint_pruned", int r.Explore.absint_pruned);
+        ("dep_pruned", int r.Explore.dep_pruned);
+      ]
   in
   let symbolic_ab =
-    Printf.sprintf "{\"app\":\"kmeans\",\"points\":%d,\"gate_on\":%s,\"gate_off\":%s,\"generate_calls_saved\":%d}"
-      sym_on.Explore.sampled (sym_side sym_on gen_on) (sym_side sym_off gen_off)
-      (gen_off - gen_on)
+    Json.Obj
+      [
+        ("app", Json.Str "kmeans");
+        ("points", int sym_on.Explore.sampled);
+        ("gate_on", sym_side sym_on gen_on);
+        ("gate_off", sym_side sym_off gen_off);
+        ("generate_calls_saved", int (gen_off - gen_on));
+      ]
   in
   let ms = try List.assoc "dse.ms_per_design" (Option.get snap1).Obs.snap_hists with Not_found -> [||] in
   let estimated = r1.Explore.sampled - r1.Explore.lint_pruned in
   let p50 = Obs.percentile ms 50.0 and p95 = Obs.percentile ms 95.0 in
   let recv_block attr = attr.Dhdl_dse.Profile.collector.Dhdl_dse.Profile.c_recv_block_s in
   let level_json (_jobs, (rc : Explore.result), attr) =
-    Printf.sprintf
-      "{\"jobs\":%d,\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"wall_ms_per_design\":%.4f,\"cpu_ms_per_design\":%.4f,\"warm_attribution\":%s}"
-      rc.Explore.jobs rc.Explore.elapsed_seconds (pps rc)
-      (Explore.seconds_per_design rc *. 1000.0)
-      (Explore.cpu_seconds_per_design rc *. 1000.0)
-      (Dhdl_dse.Profile.to_json attr)
+    Json.Obj
+      [
+        ("jobs", int rc.Explore.jobs);
+        ("elapsed_s", num rc.Explore.elapsed_seconds);
+        ("points_per_sec", num (pps rc));
+        ("wall_ms_per_design", num (Explore.seconds_per_design rc *. 1000.0));
+        ("cpu_ms_per_design", num (Explore.cpu_seconds_per_design rc *. 1000.0));
+        ("warm_attribution", Dhdl_dse.Profile.to_json attr);
+      ]
   in
   let chunk_json (chunk, (r : Explore.result), attr) =
-    Printf.sprintf
-      "{\"chunk\":%d,\"jobs\":4,\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"recv_block_s\":%.6f}"
-      chunk r.Explore.elapsed_seconds (pps r) (recv_block attr)
+    Json.Obj
+      [
+        ("chunk", int chunk);
+        ("jobs", int 4);
+        ("elapsed_s", num r.Explore.elapsed_seconds);
+        ("points_per_sec", num (pps r));
+        ("recv_block_s", num (recv_block attr));
+      ]
   in
   let cache_ab =
-    Printf.sprintf
-      "{\"jobs\":1,\"cold_elapsed_s\":%.3f,\"cold_points_per_sec\":%.1f,\"warm_elapsed_s\":%.3f,\"warm_points_per_sec\":%.1f,\"warm_speedup\":%.2f,\"warm_cache_hits\":%d,\"warm_cache_misses\":%d}"
-      r1.Explore.elapsed_seconds (pps r1) rwarm.Explore.elapsed_seconds (pps rwarm)
-      (if pps r1 > 0.0 then pps rwarm /. pps r1 else 0.0)
-      rwarm.Explore.cache_hits rwarm.Explore.cache_misses
+    Json.Obj
+      [
+        ("jobs", int 1);
+        ("cold_elapsed_s", num r1.Explore.elapsed_seconds);
+        ("cold_points_per_sec", num (pps r1));
+        ("warm_elapsed_s", num rwarm.Explore.elapsed_seconds);
+        ("warm_points_per_sec", num (pps rwarm));
+        ("warm_speedup", num (if pps r1 > 0.0 then pps rwarm /. pps r1 else 0.0));
+        ("warm_cache_hits", int rwarm.Explore.cache_hits);
+        ("warm_cache_misses", int rwarm.Explore.cache_misses);
+      ]
   in
   let json =
-    Printf.sprintf
-      "{\"schema\":4,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache; warm_attribution and chunk_sweep are profiled repeats on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls.\",\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"ms_per_design_p50\":%.4f,\"ms_per_design_p95\":%.4f,\"cache_ab\":%s,\"symbolic_ab\":%s,\"chunk_sweep\":[%s],\"jobs_sweep\":[%s]}\n"
-      !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
-      (Domain.recommended_domain_count ())
-      r1.Explore.elapsed_seconds (pps r1) p50 p95 cache_ab symbolic_ab
-      (String.concat "," (List.map chunk_json chunks))
-      (String.concat "," (List.map level_json levels))
+    Json.Obj
+      [
+        ("schema", int 4);
+        ("label", Json.Str !run_label);
+        ("app", Json.Str "gda");
+        ("points", int r1.Explore.sampled);
+        ("estimated", int estimated);
+        ("lint_pruned", int r1.Explore.lint_pruned);
+        ("recommended_domain_count", int (Domain.recommended_domain_count ()));
+        ( "host_note",
+          Json.Str
+            "points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. \
+             a single-core container) makes every jobs>1 level pure coordination overhead. Cold \
+             levels use a fresh evaluation cache; warm_attribution and chunk_sweep are profiled \
+             repeats on a warm cache, isolating coordination from estimation work. symbolic_ab \
+             is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting \
+             generate calls." );
+        ("elapsed_s", num r1.Explore.elapsed_seconds);
+        ("points_per_sec", num (pps r1));
+        ("ms_per_design_p50", num p50);
+        ("ms_per_design_p95", num p95);
+        ("cache_ab", cache_ab);
+        ("symbolic_ab", symbolic_ab);
+        ("chunk_sweep", Json.List (List.map chunk_json chunks));
+        ("jobs_sweep", Json.List (List.map level_json levels));
+      ]
   in
   let oc = open_out "BENCH_dse.json" in
-  output_string oc json;
+  output_string oc (Json.render json ^ "\n");
   close_out oc;
   Printf.printf "%d points (%d estimated, %d lint-pruned) in %.2f s sequential: %.0f points/sec\n"
     r1.Explore.sampled estimated r1.Explore.lint_pruned r1.Explore.elapsed_seconds (pps r1);
@@ -412,7 +458,7 @@ let run_serve_soak ~quick () =
     else
       match Client.call client (P.request ~id:(Printf.sprintf "soak-st-%d" k) ~session:sid P.Dse_status) with
       | Ok { P.r_body = Ok p; _ }
-        when Dhdl_serve.Json.member "state" p = Some (Dhdl_serve.Json.Str "done") ->
+        when Json.member "state" p = Some (Json.Str "done") ->
         ()
       | _ ->
         Unix.sleepf 0.05;

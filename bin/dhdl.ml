@@ -17,6 +17,7 @@ module Symbolic = Dhdl_absint.Symbolic
 module Symgate = Dhdl_dse.Symgate
 module Diag = Dhdl_ir.Diag
 module Obs = Dhdl_obs.Obs
+module Json = Dhdl_util.Json
 
 let parse_params strs =
   List.map
@@ -598,13 +599,11 @@ let lint_cmd =
     let reports = List.map (fun design -> (design, Lint.check design)) targets in
     if json then
       match reports with
-      | [ (design, diags) ] when not all -> print_endline (Lint.render_json ~design diags)
+      | [ (design, diags) ] when not all -> print_endline (Json.render (Lint.render_json ~design diags))
       | _ ->
         print_endline
-          ("["
-          ^ String.concat ",\n "
-              (List.map (fun (design, diags) -> Lint.render_json ~design diags) reports)
-          ^ "]")
+          (Json.render
+             (Json.List (List.map (fun (design, diags) -> Lint.render_json ~design diags) reports)))
     else List.iter (fun (design, diags) -> print_endline (Lint.render_text ~design diags)) reports;
     let code = Lint.exit_code ~fail_on (List.concat_map snd reports) in
     if code <> 0 then exit code
@@ -641,18 +640,21 @@ let analyze_cmd =
       in
       if json then begin
         let verdict_json =
-          match verdict with
-          | Symbolic.Legal -> "{\"kind\":\"legal\"}"
-          | Symbolic.Refuted { code; witness } ->
-            Printf.sprintf "{\"kind\":\"refuted\",\"code\":%S,\"witness\":%S}" code witness
-          | Symbolic.Unknown why -> Printf.sprintf "{\"kind\":\"unknown\",\"why\":%S}" why
+          Json.Obj
+            (match verdict with
+            | Symbolic.Legal -> [ ("kind", Json.Str "legal") ]
+            | Symbolic.Refuted { code; witness } ->
+              [ ("kind", Json.Str "refuted"); ("code", Json.Str code); ("witness", Json.Str witness) ]
+            | Symbolic.Unknown why -> [ ("kind", Json.Str "unknown"); ("why", Json.Str why) ])
         in
         print_endline
-          (Printf.sprintf "{\"systems\":[%s],\"point\":{%s},\"verdict\":%s}"
-             (String.concat ","
-                (List.map Symbolic.render_json (Symgate.systems gate)))
-             (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%d" k v) point))
-             verdict_json)
+          (Json.render
+             (Json.Obj
+                [
+                  ("systems", Json.List (List.map Symbolic.render_json (Symgate.systems gate)));
+                  ("point", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) point));
+                  ("verdict", verdict_json);
+                ]))
       end
       else begin
         List.iter (fun sys -> print_string (Symbolic.render_text sys)) (Symgate.systems gate);
@@ -671,8 +673,12 @@ let analyze_cmd =
       let deps = Dhdl_absint.Dependence.analyze design in
       if json then
         print_endline
-          (Printf.sprintf "{\"absint\":%s,\"dependence\":%s}" (Absint.render_json report)
-             (Dhdl_absint.Dependence.render_json deps))
+          (Json.render
+             (Json.Obj
+                [
+                  ("absint", Absint.render_json report);
+                  ("dependence", Dhdl_absint.Dependence.render_json deps);
+                ]))
       else begin
         print_string (Absint.render_text report);
         print_string (Dhdl_absint.Dependence.render_text deps)
@@ -757,21 +763,28 @@ let profile_cmd =
     if json then begin
       let level_json (jobs, r, attr) =
         let su = speedup r in
-        Printf.sprintf
-          "{\"jobs\":%d,\"wall_s\":%.6f,\"points_per_sec\":%.3f,\"speedup\":%.4f,\"efficiency\":%.4f,\"amdahl_serial_frac\":%s,\"attribution\":%s}"
-          jobs r.Explore.elapsed_seconds (pts_per_sec r) su
-          (su /. float_of_int jobs)
-          (match amdahl_serial ~jobs ~speedup:su with
-          | Some s -> Printf.sprintf "%.4f" s
-          | None -> "null")
-          (Profile.to_json attr)
+        Json.Obj
+          [
+            ("jobs", Json.Int jobs);
+            ("wall_s", Json.Float r.Explore.elapsed_seconds);
+            ("points_per_sec", Json.Float (pts_per_sec r));
+            ("speedup", Json.Float su);
+            ("efficiency", Json.Float (su /. float_of_int jobs));
+            ( "amdahl_serial_frac",
+              match amdahl_serial ~jobs ~speedup:su with Some s -> Json.Float s | None -> Json.Null );
+            ("attribution", Profile.to_json attr);
+          ]
       in
       print_endline
-        (Printf.sprintf
-           "{\"app\":\"%s\",\"points\":%d,\"seed\":%d,\"recommended_domain_count\":%d,\"levels\":[%s]}"
-           a.App.name points seed
-           (Domain.recommended_domain_count ())
-           (String.concat "," (List.map level_json levels)))
+        (Json.render
+           (Json.Obj
+              [
+                ("app", Json.Str a.App.name);
+                ("points", Json.Int points);
+                ("seed", Json.Int seed);
+                ("recommended_domain_count", Json.Int (Domain.recommended_domain_count ()));
+                ("levels", Json.List (List.map level_json levels));
+              ]))
     end
     else begin
       Printf.printf "scaling report for %s (%d points per level, seed %d)\n" a.App.name points seed;

@@ -32,6 +32,7 @@
 module Ir = Dhdl_ir.Ir
 module Diag = Dhdl_ir.Diag
 module Intmath = Dhdl_util.Intmath
+module Json = Dhdl_util.Json
 
 module IE = Engine.Make (Interval)
 module AE = Engine.Make (Affine)
@@ -961,70 +962,81 @@ let render_text (r : report) =
   Buffer.contents b
 
 let render_json (r : report) =
-  let b = Buffer.create 1024 in
-  let str s = "\"" ^ Diag.json_escape s ^ "\"" in
   let s = summarize r in
-  Buffer.add_string b
-    (Printf.sprintf "{\"design\":%s,\"rounds\":%d,\"summary\":{" (str r.r_design) r.r_rounds);
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"accesses\":%d,\"bounds_proved\":%d,\"bounds_refuted\":%d,\"bounds_unknown\":%d,\"banks_ok\":%d,\"bank_conflicts\":%d,\"banks_unknown\":%d,\"double_required\":%d,\"double_missing\":%d,\"double_spurious\":%d},"
-       s.s_accesses s.s_bounds_proved s.s_bounds_refuted s.s_bounds_unknown s.s_banks_proved
-       s.s_banks_conflict s.s_banks_unknown s.s_double_required s.s_double_missing
-       s.s_double_spurious);
-  Buffer.add_string b "\"mems\":[";
-  List.iteri
-    (fun i mi ->
-      if i > 0 then Buffer.add_char b ',';
-      let m = mi.mi_mem in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":%s,\"kind\":%s,\"dims\":[%s],\"banks\":%d,\"double\":%b,\"double_required\":%b,\"spurious_double\":%b,"
-           (str m.Ir.mem_name) (str (kind_str m.Ir.mem_kind))
-           (String.concat "," (List.map string_of_int m.Ir.mem_dims))
-           m.Ir.mem_banks m.Ir.mem_double mi.mi_double_required mi.mi_spurious_double);
-      (match mi.mi_scheme with
-      | Some sc -> Buffer.add_string b (Printf.sprintf "\"scheme\":%s," (str sc))
-      | None -> ());
-      Buffer.add_string b "\"accesses\":[";
-      List.iteri
-        (fun j a ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"path\":[%s],\"write\":%b,\"kind\":%s,\"par\":%d,\"address\":[%s],"
-               (String.concat "," (List.map str a.ai_path))
-               a.ai_write
-               (str (access_kind_str a.ai_kind))
-               a.ai_par
-               (String.concat "," (List.map str a.ai_affine)));
-          (match a.ai_bounds with
-          | Bounds_proved -> Buffer.add_string b "\"bounds\":{\"status\":\"proved\"},"
-          | Bounds_refuted w ->
-            Buffer.add_string b
-              (Printf.sprintf
-                 "\"bounds\":{\"status\":\"refuted\",\"dim\":%d,\"value\":%d,\"range\":[%d,%d],\"iters\":{%s},\"detail\":%s},"
-                 w.w_dim w.w_value w.w_lo w.w_hi
-                 (String.concat ","
-                    (List.map (fun (nm, v) -> Printf.sprintf "%s:%d" (str nm) v) w.w_iters))
-                 (str w.w_desc))
-          | Bounds_unknown reason ->
-            Buffer.add_string b
-              (Printf.sprintf "\"bounds\":{\"status\":\"unknown\",\"reason\":%s}," (str reason)));
-          match a.ai_banks with
-          | Bank_scalar -> Buffer.add_string b "\"banking\":{\"status\":\"scalar\"}}"
-          | Bank_proved sc ->
-            Buffer.add_string b
-              (Printf.sprintf "\"banking\":{\"status\":\"proved\",\"scheme\":%s}}" (str sc))
-          | Bank_conflict k ->
-            Buffer.add_string b
-              (Printf.sprintf
-                 "\"banking\":{\"status\":\"conflict\",\"lane_a\":%d,\"lane_b\":%d,\"index_a\":[%s],\"index_b\":[%s],\"bank\":%d}}"
-                 k.k_lane_a k.k_lane_b (idx_str k.k_index_a) (idx_str k.k_index_b) k.k_bank)
-          | Bank_unknown reason ->
-            Buffer.add_string b
-              (Printf.sprintf "\"banking\":{\"status\":\"unknown\",\"reason\":%s}}" (str reason)))
-        mi.mi_accesses;
-      Buffer.add_string b "]}")
-    r.r_mems;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let ints l = Json.List (List.map (fun n -> Json.Int n) l) in
+  let strs l = Json.List (List.map (fun s -> Json.Str s) l) in
+  let status name rest = Json.Obj (("status", Json.Str name) :: rest) in
+  let bounds = function
+    | Bounds_proved -> status "proved" []
+    | Bounds_refuted w ->
+      status "refuted"
+        [
+          ("dim", Json.Int w.w_dim);
+          ("value", Json.Int w.w_value);
+          ("range", ints [ w.w_lo; w.w_hi ]);
+          ("iters", Json.Obj (List.map (fun (nm, v) -> (nm, Json.Int v)) w.w_iters));
+          ("detail", Json.Str w.w_desc);
+        ]
+    | Bounds_unknown reason -> status "unknown" [ ("reason", Json.Str reason) ]
+  in
+  let banking = function
+    | Bank_scalar -> status "scalar" []
+    | Bank_proved sc -> status "proved" [ ("scheme", Json.Str sc) ]
+    | Bank_conflict k ->
+      status "conflict"
+        [
+          ("lane_a", Json.Int k.k_lane_a);
+          ("lane_b", Json.Int k.k_lane_b);
+          ("index_a", ints k.k_index_a);
+          ("index_b", ints k.k_index_b);
+          ("bank", Json.Int k.k_bank);
+        ]
+    | Bank_unknown reason -> status "unknown" [ ("reason", Json.Str reason) ]
+  in
+  let access a =
+    Json.Obj
+      [
+        ("path", strs a.ai_path);
+        ("write", Json.Bool a.ai_write);
+        ("kind", Json.Str (access_kind_str a.ai_kind));
+        ("par", Json.Int a.ai_par);
+        ("address", strs a.ai_affine);
+        ("bounds", bounds a.ai_bounds);
+        ("banking", banking a.ai_banks);
+      ]
+  in
+  let mem mi =
+    let m = mi.mi_mem in
+    Json.Obj
+      ([
+         ("name", Json.Str m.Ir.mem_name);
+         ("kind", Json.Str (kind_str m.Ir.mem_kind));
+         ("dims", ints m.Ir.mem_dims);
+         ("banks", Json.Int m.Ir.mem_banks);
+         ("double", Json.Bool m.Ir.mem_double);
+         ("double_required", Json.Bool mi.mi_double_required);
+         ("spurious_double", Json.Bool mi.mi_spurious_double);
+       ]
+      @ (match mi.mi_scheme with Some sc -> [ ("scheme", Json.Str sc) ] | None -> [])
+      @ [ ("accesses", Json.List (List.map access mi.mi_accesses)) ])
+  in
+  Json.Obj
+    [
+      ("design", Json.Str r.r_design);
+      ("rounds", Json.Int r.r_rounds);
+      ( "summary",
+        Json.Obj
+          [
+            ("accesses", Json.Int s.s_accesses);
+            ("bounds_proved", Json.Int s.s_bounds_proved);
+            ("bounds_refuted", Json.Int s.s_bounds_refuted);
+            ("bounds_unknown", Json.Int s.s_bounds_unknown);
+            ("banks_ok", Json.Int s.s_banks_proved);
+            ("bank_conflicts", Json.Int s.s_banks_conflict);
+            ("banks_unknown", Json.Int s.s_banks_unknown);
+            ("double_required", Json.Int s.s_double_required);
+            ("double_missing", Json.Int s.s_double_missing);
+            ("double_spurious", Json.Int s.s_double_spurious);
+          ] );
+      ("mems", Json.List (List.map mem r.r_mems));
+    ]

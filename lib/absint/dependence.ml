@@ -44,6 +44,7 @@ module Analysis = Dhdl_ir.Analysis
 module Traverse = Dhdl_ir.Traverse
 module Primitives = Dhdl_device.Primitives
 module Intmath = Dhdl_util.Intmath
+module Json = Dhdl_util.Json
 
 module AE = Engine.Make (Affine)
 
@@ -528,33 +529,6 @@ let ii = function
     ii_of ~latency:(recurrence_latency body) (raw_pairs ~counters ~trips accs)
   | Ir.Loop _ | Ir.Parallel _ | Ir.Tile_load _ | Ir.Tile_store _ -> 0
 
-(* The pre-analysis syntactic rule (rotating-address updates pipeline at
-   II = 1, every other read-modify-write charges the chain latency), kept
-   only to flag pipes where it was pessimistic (L012). *)
-let heuristic_ii (loop : Ir.loop_info) body =
-  let innermost =
-    match List.rev loop.Ir.lp_counters with c :: _ -> Some c.Ir.ctr_name | [] -> None
-  in
-  let rotating addr =
-    match innermost with
-    | None -> false
-    | Some name -> List.exists (function Ir.Iter n -> n = name | _ -> false) addr
-  in
-  let stores =
-    List.filter_map
-      (function Ir.Sstore { mem; addr; _ } -> Some (mem.Ir.mem_id, rotating addr) | _ -> None)
-      body
-  in
-  let unsafe_rmw =
-    List.exists
-      (function
-        | Ir.Sload { mem; addr; _ } ->
-          List.exists (fun (id, st_rot) -> id = mem.Ir.mem_id && not (st_rot && rotating addr)) stores
-        | _ -> false)
-      body
-  in
-  if unsafe_rmw then recurrence_latency body else 1
-
 (* ------------------------------------------------------------------ *)
 (* Vectorization legality                                              *)
 (* ------------------------------------------------------------------ *)
@@ -636,7 +610,6 @@ type pipe_dep = {
   pd_latency : int;
   pd_pairs : pair list;
   pd_ii : int;
-  pd_heuristic_ii : int;
   pd_conflict : conflict option;
 }
 
@@ -713,7 +686,6 @@ let analyze_pipe ~path (loop : Ir.loop_info) body =
     pd_latency = latency;
     pd_pairs = pairs;
     pd_ii = ii_of ~latency pairs;
-    pd_heuristic_ii = heuristic_ii loop body;
     pd_conflict = conflict;
   }
 
@@ -1049,7 +1021,7 @@ let analyze (d : Ir.design) : report =
   go [] [] d.Ir.d_top;
   { r_design = d.Ir.d_name; r_pipes = List.rev !pipes; r_races = !races }
 
-(* One-slot cache so the lint passes (L001/L012/L013) and repeated DSE
+(* One-slot cache so the lint passes (L001/L013) and repeated DSE
    probes share a single analysis of the same design value. Domain-local,
    hence safe under the parallel DSE runner. *)
 let dls_slot : (Ir.design * report) option ref Stdlib.Domain.DLS.key =
@@ -1075,19 +1047,6 @@ let iters_str = function
       (String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) ws))
 
 let idx_str l = String.concat ";" (List.map string_of_int l)
-
-(* L012: the syntactic heuristic would have charged a longer II than the
-   proved one — cycles the old estimator left on the table. *)
-let pessimistic_diags (r : report) =
-  List.filter_map
-    (fun p ->
-      if p.pd_heuristic_ii > p.pd_ii then
-        Some
-          (Diag.makef ~path:p.pd_path ~code:"L012" ~severity:Diag.Warning
-             "pessimistic II on %s: the syntactic recurrence heuristic charges II=%d but the dependence analysis proves II=%d"
-             p.pd_label p.pd_heuristic_ii p.pd_ii)
-      else None)
-    r.r_pipes
 
 (* L013: vectorization proved illegal, with the concrete lane pair. *)
 let unsafe_diags (r : report) =
@@ -1137,7 +1096,6 @@ type summary = {
   s_carried : int;
   s_unknown : int;
   s_refuted : int;  (* pipes whose vectorization is proved illegal *)
-  s_pessimistic : int;  (* pipes where the heuristic overcharged II *)
   s_races_proved : int;
   s_races_disjoint : int;
   s_races_unknown : int;
@@ -1145,11 +1103,10 @@ type summary = {
 
 let summarize (r : report) =
   let pairs = ref 0 and ind = ref 0 and car = ref 0 and unk = ref 0 in
-  let refuted = ref 0 and pess = ref 0 in
+  let refuted = ref 0 in
   List.iter
     (fun p ->
       if p.pd_conflict <> None then incr refuted;
-      if p.pd_heuristic_ii > p.pd_ii then incr pess;
       List.iter
         (fun pr ->
           incr pairs;
@@ -1174,7 +1131,6 @@ let summarize (r : report) =
     s_carried = !car;
     s_unknown = !unk;
     s_refuted = !refuted;
-    s_pessimistic = !pess;
     s_races_proved = !rp;
     s_races_disjoint = !rd;
     s_races_unknown = !ru;
@@ -1200,8 +1156,8 @@ let render_text (r : report) =
   List.iter
     (fun p ->
       Buffer.add_string b
-        (Printf.sprintf "pipe %s par=%d trip=%d: II=%d (heuristic %d, latency %d)%s\n"
-           (String.concat "/" p.pd_path) p.pd_par p.pd_trip p.pd_ii p.pd_heuristic_ii p.pd_latency
+        (Printf.sprintf "pipe %s par=%d trip=%d: II=%d (latency %d)%s\n"
+           (String.concat "/" p.pd_path) p.pd_par p.pd_trip p.pd_ii p.pd_latency
            (match p.pd_conflict with
            | Some k ->
              Printf.sprintf " UNSAFE PIPELINING: lanes %d/%d on %s[%s] (%s)" k.lc_lane_a
@@ -1229,85 +1185,105 @@ let render_text (r : report) =
     r.r_races;
   Buffer.add_string b
     (Printf.sprintf
-       "summary: %d pipe(s); %d pair(s): %d independent / %d carried / %d unknown; %d unsafe vectorization(s); %d pessimistic II(s); races %d proved / %d disjoint / %d unknown\n"
-       s.s_pipes s.s_pairs s.s_independent s.s_carried s.s_unknown s.s_refuted s.s_pessimistic
+       "summary: %d pipe(s); %d pair(s): %d independent / %d carried / %d unknown; %d unsafe vectorization(s); races %d proved / %d disjoint / %d unknown\n"
+       s.s_pipes s.s_pairs s.s_independent s.s_carried s.s_unknown s.s_refuted
        s.s_races_proved s.s_races_disjoint s.s_races_unknown);
   Buffer.contents b
 
 let render_json (r : report) =
-  let b = Buffer.create 1024 in
-  let str s = "\"" ^ Diag.json_escape s ^ "\"" in
-  let iters ws =
-    "{" ^ String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s:%d" (str n) v) ws) ^ "}"
-  in
   let s = summarize r in
-  Buffer.add_string b (Printf.sprintf "{\"design\":%s,\"summary\":{" (str r.r_design));
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"pipes\":%d,\"pairs\":%d,\"independent\":%d,\"carried\":%d,\"unknown\":%d,\"unsafe_vectorizations\":%d,\"pessimistic_ii\":%d,\"races_proved\":%d,\"races_disjoint\":%d,\"races_unknown\":%d},"
-       s.s_pipes s.s_pairs s.s_independent s.s_carried s.s_unknown s.s_refuted s.s_pessimistic
-       s.s_races_proved s.s_races_disjoint s.s_races_unknown);
-  Buffer.add_string b "\"pipes\":[";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"label\":%s,\"path\":[%s],\"par\":%d,\"trip\":%d,\"ii\":%d,\"heuristic_ii\":%d,\"latency\":%d,\"pairs\":["
-           (str p.pd_label)
-           (String.concat "," (List.map str p.pd_path))
-           p.pd_par p.pd_trip p.pd_ii p.pd_heuristic_ii p.pd_latency);
-      List.iteri
-        (fun j pr ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"mem\":%s,\"kind\":%s,\"src\":%d,\"dst\":%d,"
-               (str pr.p_mem.Ir.mem_name)
-               (str (kind_str pr.p_kind))
-               pr.p_src pr.p_dst);
-          (match pr.p_status with
-          | Independent -> Buffer.add_string b "\"status\":\"independent\"}"
-          | Carried { distance; witness } ->
-            Buffer.add_string b
-              (Printf.sprintf
-                 "\"status\":\"carried\",\"distance\":%d,\"witness\":{\"src\":%s,\"dst\":%s%s}}"
-                 distance (iters witness.wt_src_iters) (iters witness.wt_dst_iters)
-                 (match witness.wt_index with
-                 | Some idx -> Printf.sprintf ",\"index\":[%s]" (idx_str idx)
-                 | None -> ""))
-          | Unknown reason ->
-            Buffer.add_string b
-              (Printf.sprintf "\"status\":\"unknown\",\"reason\":%s}" (str reason))))
-        p.pd_pairs;
-      Buffer.add_string b "]";
-      (match p.pd_conflict with
+  let ints l = Json.List (List.map (fun n -> Json.Int n) l) in
+  let strs l = Json.List (List.map (fun s -> Json.Str s) l) in
+  let iters ws = Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) ws) in
+  let status name rest = ("status", Json.Str name) :: rest in
+  let pair pr =
+    Json.Obj
+      ([
+         ("mem", Json.Str pr.p_mem.Ir.mem_name);
+         ("kind", Json.Str (kind_str pr.p_kind));
+         ("src", Json.Int pr.p_src);
+         ("dst", Json.Int pr.p_dst);
+       ]
+      @
+      match pr.p_status with
+      | Independent -> status "independent" []
+      | Carried { distance; witness } ->
+        status "carried"
+          [
+            ("distance", Json.Int distance);
+            ( "witness",
+              Json.Obj
+                ([ ("src", iters witness.wt_src_iters); ("dst", iters witness.wt_dst_iters) ]
+                @
+                match witness.wt_index with
+                | Some idx -> [ ("index", ints idx) ]
+                | None -> []) );
+          ]
+      | Unknown reason -> status "unknown" [ ("reason", Json.Str reason) ])
+  in
+  let pipe p =
+    Json.Obj
+      ([
+         ("label", Json.Str p.pd_label);
+         ("path", strs p.pd_path);
+         ("par", Json.Int p.pd_par);
+         ("trip", Json.Int p.pd_trip);
+         ("ii", Json.Int p.pd_ii);
+         ("latency", Json.Int p.pd_latency);
+         ("pairs", Json.List (List.map pair p.pd_pairs));
+       ]
+      @
+      match p.pd_conflict with
       | Some k ->
-        Buffer.add_string b
-          (Printf.sprintf
-             ",\"conflict\":{\"mem\":%s,\"kind\":%s,\"lane_a\":%d,\"lane_b\":%d,\"iters_a\":%s,\"iters_b\":%s,\"index\":[%s]}"
-             (str k.lc_mem)
-             (str (kind_str k.lc_kind))
-             k.lc_lane_a k.lc_lane_b (iters k.lc_iters_a) (iters k.lc_iters_b)
-             (idx_str k.lc_index))
-      | None -> ());
-      Buffer.add_string b "}")
-    r.r_pipes;
-  Buffer.add_string b "],\"races\":[";
-  List.iteri
-    (fun i rc ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"path\":[%s],\"mem\":%s,\"kind\":%s,\"stage_a\":%s,\"stage_b\":%s,"
-           (String.concat "," (List.map str rc.rc_path))
-           (str rc.rc_mem.Ir.mem_name) (str rc.rc_kind) (str rc.rc_stage_a) (str rc.rc_stage_b));
+        [
+          ( "conflict",
+            Json.Obj
+              [
+                ("mem", Json.Str k.lc_mem);
+                ("kind", Json.Str (kind_str k.lc_kind));
+                ("lane_a", Json.Int k.lc_lane_a);
+                ("lane_b", Json.Int k.lc_lane_b);
+                ("iters_a", iters k.lc_iters_a);
+                ("iters_b", iters k.lc_iters_b);
+                ("index", ints k.lc_index);
+              ] );
+        ]
+      | None -> [])
+  in
+  let race rc =
+    Json.Obj
+      ([
+         ("path", strs rc.rc_path);
+         ("mem", Json.Str rc.rc_mem.Ir.mem_name);
+         ("kind", Json.Str rc.rc_kind);
+         ("stage_a", Json.Str rc.rc_stage_a);
+         ("stage_b", Json.Str rc.rc_stage_b);
+       ]
+      @
       match rc.rc_status with
-      | Race_disjoint -> Buffer.add_string b "\"status\":\"disjoint\"}"
+      | Race_disjoint -> status "disjoint" []
       | Race_overlap o ->
-        Buffer.add_string b
-          (Printf.sprintf "\"status\":\"overlap\",\"index\":[%s],\"iters_a\":%s,\"iters_b\":%s}"
-             (idx_str o.ro_index) (iters o.ro_iters_a) (iters o.ro_iters_b))
-      | Race_unknown reason ->
-        Buffer.add_string b (Printf.sprintf "\"status\":\"unknown\",\"reason\":%s}" (str reason)))
-    r.r_races;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+        status "overlap"
+          [ ("index", ints o.ro_index); ("iters_a", iters o.ro_iters_a);
+            ("iters_b", iters o.ro_iters_b) ]
+      | Race_unknown reason -> status "unknown" [ ("reason", Json.Str reason) ])
+  in
+  Json.Obj
+    [
+      ("design", Json.Str r.r_design);
+      ( "summary",
+        Json.Obj
+          [
+            ("pipes", Json.Int s.s_pipes);
+            ("pairs", Json.Int s.s_pairs);
+            ("independent", Json.Int s.s_independent);
+            ("carried", Json.Int s.s_carried);
+            ("unknown", Json.Int s.s_unknown);
+            ("unsafe_vectorizations", Json.Int s.s_refuted);
+            ("races_proved", Json.Int s.s_races_proved);
+            ("races_disjoint", Json.Int s.s_races_disjoint);
+            ("races_unknown", Json.Int s.s_races_unknown);
+          ] );
+      ("pipes", Json.List (List.map pipe r.r_pipes));
+      ("races", Json.List (List.map race r.r_races));
+    ]

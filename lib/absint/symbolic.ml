@@ -39,6 +39,7 @@
 
 module Ir = Dhdl_ir.Ir
 module Traverse = Dhdl_ir.Traverse
+module Json = Dhdl_util.Json
 
 module AE = Engine.Make (Affine)
 
@@ -1009,44 +1010,30 @@ let render_text sys =
     sys.sy_checks;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render_json sys =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"skeleton\":\"%s\",\"probes\":%d,\"legal_capable\":%b,\"params\":[%s],"
-       (json_escape sys.sy_skeleton) sys.sy_probes sys.sy_legal_capable
-       (String.concat "," (List.map (fun p -> "\"" ^ json_escape p ^ "\"") sys.sy_params)));
-  Buffer.add_string b
-    (Printf.sprintf "\"pinned\":{%s},\"checks\":["
-       (String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v) sys.sy_pinned)));
-  List.iteri
-    (fun i ck ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"code\":\"%s\",\"site\":\"%s\",\"assumed\":%b,\"legal\":%s,\"refutes\":[%s]}"
-           (json_escape ck.ck_code) (json_escape ck.ck_site) ck.ck_assumed
-           (match ck.ck_legal with
-           | None -> "null"
-           | Some lits -> "\"" ^ json_escape (conj_to_string lits) ^ "\"")
-           (String.concat ","
-              (List.map
-                 (fun cl ->
-                   Printf.sprintf "{\"desc\":\"%s\",\"when\":\"%s\"}" (json_escape cl.cl_desc)
-                     (json_escape (conj_to_string cl.cl_lits)))
-                 ck.ck_refutes))))
-    sys.sy_checks;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let check ck =
+    Json.Obj
+      [
+        ("code", Json.Str ck.ck_code);
+        ("site", Json.Str ck.ck_site);
+        ("assumed", Json.Bool ck.ck_assumed);
+        ( "legal",
+          match ck.ck_legal with None -> Json.Null | Some lits -> Json.Str (conj_to_string lits) );
+        ( "refutes",
+          Json.List
+            (List.map
+               (fun cl ->
+                 Json.Obj
+                   [ ("desc", Json.Str cl.cl_desc); ("when", Json.Str (conj_to_string cl.cl_lits)) ])
+               ck.ck_refutes) );
+      ]
+  in
+  Json.Obj
+    [
+      ("skeleton", Json.Str sys.sy_skeleton);
+      ("probes", Json.Int sys.sy_probes);
+      ("legal_capable", Json.Bool sys.sy_legal_capable);
+      ("params", Json.List (List.map (fun p -> Json.Str p) sys.sy_params));
+      ("pinned", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) sys.sy_pinned));
+      ("checks", Json.List (List.map check sys.sy_checks));
+    ]

@@ -1,4 +1,5 @@
 module Texttable = Dhdl_util.Texttable
+module Json = Dhdl_util.Json
 
 type worker = {
   w_domain : int;
@@ -111,19 +112,44 @@ let render t =
        c.c_reorder_stall_s t.max_reorder_occupancy t.max_queue_depth);
   Buffer.contents buf
 
-let worker_json w =
-  Printf.sprintf
-    "{\"domain\":%d,\"points\":%d,\"wall_s\":%.6f,\"generate_s\":%.6f,\"probe_s\":%.6f,\"analyze_s\":%.6f,\"estimate_s\":%.6f,\"send_block_s\":%.6f,\"idle_s\":%.6f}"
-    w.w_domain w.w_points w.w_wall_s w.w_generate_s w.w_probe_s w.w_analyze_s w.w_estimate_s
-    w.w_send_block_s w.w_idle_s
-
 let to_json t =
+  let num x = Json.Float x in
+  let worker w =
+    Json.Obj
+      [
+        ("domain", Json.Int w.w_domain);
+        ("points", Json.Int w.w_points);
+        ("wall_s", num w.w_wall_s);
+        ("generate_s", num w.w_generate_s);
+        ("probe_s", num w.w_probe_s);
+        ("analyze_s", num w.w_analyze_s);
+        ("estimate_s", num w.w_estimate_s);
+        ("send_block_s", num w.w_send_block_s);
+        ("idle_s", num w.w_idle_s);
+      ]
+  in
   let c = t.collector in
   let top_name, top_s = top_contender t in
-  Printf.sprintf
-    "{\"jobs\":%d,\"wall_s\":%.6f,\"worker_seconds\":%.6f,\"work_frac\":%.6f,\"contention_frac\":%.6f,\"stall_frac\":%.6f,\"top_contender\":\"%s\",\"top_contender_s\":%.6f,\"workers\":[%s],\"collector\":{\"wall_s\":%.6f,\"recv_block_s\":%.6f,\"reorder_stall_s\":%.6f,\"write_s\":%.6f,\"merge_s\":%.6f},\"max_queue_depth\":%d,\"max_reorder_occupancy\":%d}"
-    t.jobs t.wall_s (worker_seconds t) (work_fraction t) (contention_fraction t)
-    (stall_fraction t) top_name top_s
-    (String.concat "," (List.map worker_json t.workers))
-    c.c_wall_s c.c_recv_block_s c.c_reorder_stall_s c.c_write_s c.c_merge_s t.max_queue_depth
-    t.max_reorder_occupancy
+  Json.Obj
+    [
+      ("jobs", Json.Int t.jobs);
+      ("wall_s", num t.wall_s);
+      ("worker_seconds", num (worker_seconds t));
+      ("work_frac", num (work_fraction t));
+      ("contention_frac", num (contention_fraction t));
+      ("stall_frac", num (stall_fraction t));
+      ("top_contender", Json.Str top_name);
+      ("top_contender_s", num top_s);
+      ("workers", Json.List (List.map worker t.workers));
+      ( "collector",
+        Json.Obj
+          [
+            ("wall_s", num c.c_wall_s);
+            ("recv_block_s", num c.c_recv_block_s);
+            ("reorder_stall_s", num c.c_reorder_stall_s);
+            ("write_s", num c.c_write_s);
+            ("merge_s", num c.c_merge_s);
+          ] );
+      ("max_queue_depth", Json.Int t.max_queue_depth);
+      ("max_reorder_occupancy", Json.Int t.max_reorder_occupancy);
+    ]

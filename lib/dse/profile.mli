@@ -86,6 +86,6 @@ val render : t -> string
 (** Human-readable attribution report: headline fractions, top contended
     resource, a per-worker table, and the collector breakdown. *)
 
-val to_json : t -> string
+val to_json : t -> Dhdl_util.Json.t
 (** The whole record as one JSON object (fractions included), embeddable
     in [dhdl profile --json] and BENCH_dse.json. *)

@@ -42,7 +42,5 @@ val max_severity : t list -> severity option
 val to_string : t -> string
 (** One human-readable line: [severity[code] path: message [mem m]]. *)
 
-val to_json : t -> string
-(** One JSON object (hand-rolled, no external dependency). *)
-
-val json_escape : string -> string
+val to_json : t -> Dhdl_util.Json.t
+(** One JSON object: code, severity, path, mem (or [null]), message. *)

@@ -2,6 +2,7 @@ module Ir = Dhdl_ir.Ir
 module Diagnostic = Dhdl_ir.Diag
 module Analysis = Dhdl_ir.Analysis
 module Target = Dhdl_device.Target
+module Json = Dhdl_util.Json
 
 type pass = {
   code : string;
@@ -79,12 +80,6 @@ let passes ?(dev = Target.stratix_v) () =
       run = Passes.spurious_double_pass;
     };
     {
-      code = "L012";
-      title = "pessimistic-ii";
-      doc = "syntactic heuristic charges a higher II than dependence analysis proves";
-      run = Passes.pessimistic_ii_pass;
-    };
-    {
       code = "L013";
       title = "unsafe-pipelining";
       doc = "proven-illegal vectorization with a concrete same-cycle lane conflict";
@@ -92,7 +87,7 @@ let passes ?(dev = Target.stratix_v) () =
     };
   ]
 
-let proof_codes = [ "L009"; "L010"; "L011"; "L012"; "L013" ]
+let proof_codes = [ "L009"; "L010"; "L011"; "L013" ]
 
 let heuristic_codes =
   List.filter_map
@@ -126,13 +121,15 @@ let render_text ~design diags =
       :: List.map Diagnostic.to_string diags)
 
 let render_json ~design diags =
-  Printf.sprintf
-    "{\"design\": \"%s\", \"errors\": %d, \"warnings\": %d, \"infos\": %d, \"diagnostics\": [%s]}"
-    (Diagnostic.json_escape design.Ir.d_name)
-    (Diagnostic.count Diagnostic.Error diags)
-    (Diagnostic.count Diagnostic.Warning diags)
-    (Diagnostic.count Diagnostic.Info diags)
-    (String.concat ", " (List.map Diagnostic.to_json diags))
+  let count sev = Json.Int (Diagnostic.count sev diags) in
+  Json.Obj
+    [
+      ("design", Json.Str design.Ir.d_name);
+      ("errors", count Diagnostic.Error);
+      ("warnings", count Diagnostic.Warning);
+      ("infos", count Diagnostic.Info);
+      ("diagnostics", Json.List (List.map Diagnostic.to_json diags));
+    ]
 
 let exit_code ?(fail_on = Diagnostic.Error) diags =
   match Diagnostic.max_severity diags with

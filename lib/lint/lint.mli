@@ -19,17 +19,17 @@ type pass = {
 }
 
 val passes : ?dev:Target.t -> unit -> pass list
-(** The registry, in code order (L001–L013). [dev] parameterizes the
-    device-fit pass; defaults to {!Target.stratix_v}. L009–L011 are backed
-    by the abstract-interpretation framework in {!Dhdl_absint}; L012 and
-    L013 by its loop-carried dependence analysis
+(** The registry, in code order (L001–L013; L012 is retired). [dev]
+    parameterizes the device-fit pass; defaults to {!Target.stratix_v}.
+    L009–L011 are backed by the abstract-interpretation framework in
+    {!Dhdl_absint}; L013 by its loop-carried dependence analysis
     ({!Dhdl_absint.Dependence}), which also settles L001's race
     candidates. *)
 
 val proof_codes : string list
-(** The codes of the proof-backed passes (L009–L013): every error they emit
-    cites a concrete counterexample, so error-level pruning on them alone
-    is sound even when the heuristic passes are disabled. *)
+(** The codes of the proof-backed passes (L009–L011, L013): every error
+    they emit cites a concrete counterexample, so error-level pruning on
+    them alone is sound even when the heuristic passes are disabled. *)
 
 val heuristic_codes : string list
 (** The complement of {!proof_codes} over the registry: the heuristic
@@ -53,7 +53,7 @@ val render_text : design:Ir.design -> Diagnostic.t list -> string
 (** Human-readable report: a summary header plus one line per diagnostic
     (["<design>: clean"] when empty). *)
 
-val render_json : design:Ir.design -> Diagnostic.t list -> string
+val render_json : design:Ir.design -> Diagnostic.t list -> Dhdl_util.Json.t
 (** Machine-readable report: one JSON object with severity counts and the
     diagnostic array. *)
 

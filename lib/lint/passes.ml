@@ -277,12 +277,6 @@ let bank_conflict_pass (d : Ir.design) = Absint.conflict_diags (Absint.report_ca
    recovers half their BRAM. *)
 let spurious_double_pass (d : Ir.design) = Absint.buffer_diags (Absint.report_cached d)
 
-(* L012: the old syntactic recurrence heuristic would have charged a higher
-   II than the dependence analysis proves — cycles previously left on the
-   table. *)
-let pessimistic_ii_pass (d : Ir.design) =
-  Dependence.pessimistic_diags (Dependence.report_cached d)
-
 (* L013: proven-illegal vectorization: two lanes of the same vector touch
    the same word with a write between them, with the concrete lane pair
    and iteration vectors as witness. *)

@@ -46,10 +46,6 @@ val bank_conflict_pass : Ir.design -> Diag.t list
 val spurious_double_pass : Ir.design -> Diag.t list
 (** L011: double buffers no pipelined stage crossing requires. *)
 
-val pessimistic_ii_pass : Ir.design -> Diag.t list
-(** L012: pipes where the old syntactic recurrence heuristic charges a
-    higher II than {!Dhdl_absint.Dependence} proves (warning). *)
-
 val unsafe_pipelining_pass : Ir.design -> Diag.t list
 (** L013: pipes whose vectorization is proven illegal — two lanes of one
     vector touch the same word with a write between them; the message

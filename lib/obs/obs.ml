@@ -1,5 +1,6 @@
 module Texttable = Dhdl_util.Texttable
 module Rng = Dhdl_util.Rng
+module Json = Dhdl_util.Json
 
 type attrs = (string * string) list
 
@@ -417,57 +418,32 @@ let render_summary snap =
          snap.snap_hists)
     ~span_durs:(List.map (fun sp -> (sp.sp_name, sp.sp_dur_us)) snap.snap_spans)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_attrs attrs =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)) attrs)
-  ^ "}"
+(* The exports keep a fixed three-decimal layout for times and gauges
+   (pinned by their golden files), hence [Raw] numbers. *)
+let us x = Json.Raw (fmt_us x)
+let attrs_json attrs = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) attrs)
 
 let to_jsonl snap =
   let buf = Buffer.create 4096 in
+  let line ty name fields =
+    Json.add buf (Json.Obj (("type", Json.Str ty) :: ("name", Json.Str name) :: fields));
+    Buffer.add_char buf '\n'
+  in
   List.iter
     (fun sp ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"type\":\"span\",\"name\":\"%s\",\"start_us\":%s,\"dur_us\":%s,\"depth\":%d,\"track\":%d,\"attrs\":%s}\n"
-           (json_escape sp.sp_name) (fmt_us sp.sp_start_us) (fmt_us sp.sp_dur_us) sp.sp_depth
-           sp.sp_track (json_attrs sp.sp_attrs)))
+      line "span" sp.sp_name
+        [ ("start_us", us sp.sp_start_us); ("dur_us", us sp.sp_dur_us);
+          ("depth", Json.Int sp.sp_depth); ("track", Json.Int sp.sp_track);
+          ("attrs", attrs_json sp.sp_attrs) ])
     snap.snap_spans;
-  List.iter
-    (fun (n, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}\n" (json_escape n) v))
-    snap.snap_counters;
-  List.iter
-    (fun (n, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%s}\n" (json_escape n)
-           (fmt_us v)))
-    snap.snap_gauges;
+  List.iter (fun (n, v) -> line "counter" n [ ("value", Json.Int v) ]) snap.snap_counters;
+  List.iter (fun (n, v) -> line "gauge" n [ ("value", us v) ]) snap.snap_gauges;
   List.iter
     (fun (n, vs) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sampled\":%d,\"mean\":%s,\"p50\":%s,\"p95\":%s,\"max\":%s}\n"
-           (json_escape n) (hist_total snap n) (Array.length vs) (fmt_us (mean vs))
-           (fmt_us (percentile vs 50.0))
-           (fmt_us (percentile vs 95.0))
-           (fmt_us (maximum vs))))
+      line "histogram" n
+        [ ("count", Json.Int (hist_total snap n)); ("sampled", Json.Int (Array.length vs));
+          ("mean", us (mean vs)); ("p50", us (percentile vs 50.0));
+          ("p95", us (percentile vs 95.0)); ("max", us (maximum vs)) ])
     snap.snap_hists;
   Buffer.contents buf
 
@@ -484,173 +460,39 @@ let to_chrome_trace snap =
   let tracks =
     List.sort_uniq compare (0 :: List.map (fun sp -> sp.sp_track) snap.snap_spans)
   in
-  let events = Buffer.create 4096 in
-  Buffer.add_string events
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"dhdl\"}}";
-  List.iter
-    (fun t ->
-      Buffer.add_string events
-        (Printf.sprintf
-           ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           t (track_name t)))
-    tracks;
-  List.iter
-    (fun sp ->
-      Buffer.add_string events
-        (Printf.sprintf
-           ",\n{\"name\":\"%s\",\"cat\":\"dhdl\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}"
-           (json_escape sp.sp_name) sp.sp_track (fmt_us sp.sp_start_us) (fmt_us sp.sp_dur_us)
-           (json_attrs sp.sp_attrs)))
-    snap.snap_spans;
-  List.iter
-    (fun (n, v) ->
-      Buffer.add_string events
-        (Printf.sprintf
-           ",\n{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%s,\"args\":{\"value\":%d}}"
-           (json_escape n) (fmt_us end_ts) v))
-    snap.snap_counters;
-  List.iter
-    (fun (n, v) ->
-      Buffer.add_string events
-        (Printf.sprintf
-           ",\n{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%s,\"args\":{\"value\":%s}}"
-           (json_escape n) (fmt_us end_ts) (fmt_us v)))
-    snap.snap_gauges;
-  Printf.sprintf "{\"traceEvents\":[\n%s\n],\"displayTimeUnit\":\"ms\"}\n" (Buffer.contents events)
+  let event ?(cat = []) name ph tid rest =
+    Json.Obj
+      ((("name", Json.Str name) :: cat)
+      @ [ ("ph", Json.Str ph); ("pid", Json.Int 1); ("tid", Json.Int tid) ]
+      @ rest)
+  in
+  let meta name tid label = event name "M" tid [ ("args", Json.Obj [ ("name", Json.Str label) ]) ] in
+  let counter name value =
+    event name "C" 0 [ ("ts", us end_ts); ("args", Json.Obj [ ("value", value) ]) ]
+  in
+  let span sp =
+    event ~cat:[ ("cat", Json.Str "dhdl") ] sp.sp_name "X" sp.sp_track
+      [ ("ts", us sp.sp_start_us); ("dur", us sp.sp_dur_us); ("args", attrs_json sp.sp_attrs) ]
+  in
+  let events =
+    (meta "process_name" 0 "dhdl" :: List.map (fun t -> meta "thread_name" t (track_name t)) tracks)
+    @ List.map span snap.snap_spans
+    @ List.map (fun (n, v) -> counter n (Json.Int v)) snap.snap_counters
+    @ List.map (fun (n, v) -> counter n (us v)) snap.snap_gauges
+  in
+  (* One event per line, so the trace diffs and greps line by line. *)
+  Json.render
+    (Json.Obj
+       [
+         ("traceEvents", Json.Raw ("[\n" ^ String.concat ",\n" (List.map Json.render events) ^ "\n]"));
+         ("displayTimeUnit", Json.Str "ms");
+       ])
+  ^ "\n"
 
 (* ---------------- JSONL re-import ------------------------------------- *)
 
-(* Minimal parser for the flat JSON objects [to_jsonl] emits: one object
-   per line, string / number / nested-object values (nested objects are
-   kept as raw text — only the exporter's own [attrs] use them). Not a
-   general JSON parser; it exists so traces recorded on another machine
-   can be summarized without re-running the workload. *)
-
-exception Parse of string
-
-let parse_object line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let fail msg = raise (Parse (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then incr pos else fail (Printf.sprintf "expected %C" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match line.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          if !pos + 1 >= n then fail "dangling escape";
-          (match line.[!pos + 1] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-            if !pos + 5 >= n then fail "short \\u escape";
-            let hex = String.sub line (!pos + 2) 4 in
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 256 -> Buffer.add_char buf (Char.chr code)
-            | Some _ -> Buffer.add_char buf '?'
-            | None -> fail "bad \\u escape");
-            pos := !pos + 4
-          | c -> fail (Printf.sprintf "unknown escape \\%c" c));
-          pos := !pos + 2;
-          go ()
-        | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_raw_object () =
-    (* Capture a balanced {...} as raw text, respecting strings. *)
-    let start = !pos in
-    let depth = ref 0 in
-    let in_str = ref false in
-    let fin = ref (-1) in
-    while !fin < 0 && !pos < n do
-      (match line.[!pos] with
-      | '"' when not (!pos > start && line.[!pos - 1] = '\\') -> in_str := not !in_str
-      | '{' when not !in_str -> incr depth
-      | '}' when not !in_str ->
-        decr depth;
-        if !depth = 0 then fin := !pos
-      | _ -> ());
-      incr pos
-    done;
-    if !fin < 0 then fail "unterminated object";
-    String.sub line start (!fin - start + 1)
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> parse_string ()
-    | Some '{' -> parse_raw_object ()
-    | Some _ ->
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match line.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' | 'a' .. 'd' | 'f' .. 'z' -> true
-        | _ -> false
-      do
-        incr pos
-      done;
-      if !pos = start then fail "expected a value";
-      String.sub line start (!pos - start)
-    | None -> fail "expected a value"
-  in
-  expect '{';
-  skip_ws ();
-  if peek () = Some '}' then []
-  else begin
-    let fields = ref [] in
-    let rec go () =
-      let k = (skip_ws (); parse_string ()) in
-      expect ':';
-      let v = parse_value () in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-        incr pos;
-        go ()
-      | Some '}' -> ()
-      | _ -> fail "expected ',' or '}'"
-    in
-    go ();
-    List.rev !fields
-  end
-
-let field fields k =
-  match List.assoc_opt k fields with
-  | Some v -> v
-  | None -> raise (Parse (Printf.sprintf "missing field %S" k))
-
-let float_field fields k =
-  match float_of_string_opt (field fields k) with
-  | Some f -> f
-  | None -> raise (Parse (Printf.sprintf "field %S is not a number" k))
-
-let int_field fields k =
-  match int_of_string_opt (field fields k) with
-  | Some i -> i
-  | None -> raise (Parse (Printf.sprintf "field %S is not an integer" k))
-
+(* Traces recorded on another machine can be summarized without
+   re-running the workload. *)
 let summary_of_jsonl text =
   let counters = ref [] and gauges = ref [] and hist_rows = ref [] and span_durs = ref [] in
   let line_no = ref 0 in
@@ -659,32 +501,27 @@ let summary_of_jsonl text =
     |> List.iter (fun line ->
            incr line_no;
            if String.trim line <> "" then begin
-             let fields = parse_object line in
-             match field fields "type" with
-             | "span" -> span_durs := (field fields "name", float_field fields "dur_us") :: !span_durs
-             | "counter" -> counters := (field fields "name", int_field fields "value") :: !counters
-             | "gauge" -> gauges := (field fields "name", float_field fields "value") :: !gauges
+             let j = Json.parse_exn line in
+             let str k = Json.get k Json.to_string j
+             and num k = Json.get k Json.to_float j
+             and int k = Json.get k Json.to_int j in
+             match str "type" with
+             | "span" -> span_durs := (str "name", num "dur_us") :: !span_durs
+             | "counter" -> counters := (str "name", int "value") :: !counters
+             | "gauge" -> gauges := (str "name", num "value") :: !gauges
              | "histogram" ->
-               let sampled =
-                 match List.assoc_opt "sampled" fields with
-                 | Some s -> (
-                   match int_of_string_opt s with
-                   | Some i -> i
-                   | None -> raise (Parse "field \"sampled\" is not an integer"))
-                 | None -> int_field fields "count"
-               in
                hist_rows :=
                  {
-                   hr_name = field fields "name";
-                   hr_count = int_field fields "count";
-                   hr_sampled = sampled;
-                   hr_mean = float_field fields "mean";
-                   hr_p50 = float_field fields "p50";
-                   hr_p95 = float_field fields "p95";
-                   hr_max = float_field fields "max";
+                   hr_name = str "name";
+                   hr_count = int "count";
+                   hr_sampled = int (if Json.member "sampled" j = None then "count" else "sampled");
+                   hr_mean = num "mean";
+                   hr_p50 = num "p50";
+                   hr_p95 = num "p95";
+                   hr_max = num "max";
                  }
                  :: !hist_rows
-             | t -> raise (Parse (Printf.sprintf "unknown record type %S" t))
+             | t -> raise (Json.Bad ("unknown record type " ^ Json.render (Json.Str t)))
            end);
     Ok
       (render_summary_parts
@@ -692,4 +529,4 @@ let summary_of_jsonl text =
          ~gauges:(List.sort compare !gauges)
          ~hist_rows:(List.sort (fun a b -> compare a.hr_name b.hr_name) !hist_rows)
          ~span_durs:(List.rev !span_durs))
-  with Parse msg -> Error (Printf.sprintf "line %d: %s" !line_no msg)
+  with Json.Bad msg -> Error (Printf.sprintf "line %d: %s" !line_no msg)

@@ -1,180 +1,4 @@
-type t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-  | Raw of string
-
-(* ---------------- rendering ---------------------------------------- *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let render_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
-
-let rec render = function
-  | Null -> "null"
-  | Bool b -> if b then "true" else "false"
-  | Int n -> string_of_int n
-  | Float f -> render_float f
-  | Str s -> "\"" ^ escape s ^ "\""
-  | List xs -> "[" ^ String.concat "," (List.map render xs) ^ "]"
-  | Obj fields ->
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ render v) fields)
-    ^ "}"
-  | Raw s -> s
-
-(* ---------------- parsing ------------------------------------------ *)
-
-exception Bad of string
-
-let parse (s : string) : (t, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then fail "unexpected end of input";
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\r' || s.[!pos] = '\n') do
-      incr pos
-    done
-  in
-  let expect c = if next () <> c then fail (Printf.sprintf "expected %c" c) in
-  let literal word v =
-    let len = String.length word in
-    if !pos + len <= n && String.sub s !pos len = word then begin
-      pos := !pos + len;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        (match next () with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          let h = String.init 4 (fun _ -> next ()) in
-          let code = try int_of_string ("0x" ^ h) with _ -> fail "bad \\u escape" in
-          (* Non-ASCII code points degrade to '?'; the protocol never
-             produces them. *)
-          Buffer.add_char buf (if code < 128 then Char.chr code else '?')
-        | _ -> fail "bad escape");
-        go ()
-      | c -> Buffer.add_char buf c; go ()
-    in
-    go ()
-  in
-  let is_num_char c =
-    (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some '}' then (incr pos; Obj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> members ((k, v) :: acc)
-          | '}' -> Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-    | Some '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some ']' then (incr pos; List [])
-      else
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> elements (v :: acc)
-          | ']' -> List (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elements []
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some c when is_num_char c ->
-      let start = !pos in
-      while !pos < n && is_num_char s.[!pos] do incr pos done;
-      let raw = String.sub s start (!pos - start) in
-      (match int_of_string_opt raw with
-      | Some n -> Int n
-      | None -> (
-        match float_of_string_opt raw with
-        | Some f -> Float f
-        | None -> fail (Printf.sprintf "bad number %S" raw)))
-    | Some c -> fail (Printf.sprintf "unexpected character %c" c)
-  in
-  try
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    Ok v
-  with Bad msg -> Error msg
-
-(* ---------------- accessors ---------------------------------------- *)
-
-let member name = function
-  | Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
-let to_string = function Str s -> Some s | _ -> None
-
-let to_int = function
-  | Int n -> Some n
-  | Float f when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
-
-let to_bool = function Bool b -> Some b | _ -> None
-let to_list = function List xs -> Some xs | _ -> None
-let obj_or_empty = function Obj fields -> fields | _ -> []
+(* The codec lives in [Dhdl_util.Json]; this alias keeps the
+   [Dhdl_serve.Json] path that the benchmark harness and existing clients
+   refer to. *)
+include Dhdl_util.Json

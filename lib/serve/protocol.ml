@@ -54,76 +54,62 @@ let parse_request line =
   match Json.parse line with
   | Error msg -> Error ("malformed JSON: " ^ msg)
   | Ok j -> (
-    match Json.(member "id" j |> Option.map to_string) with
-    | None | Some None -> Error "missing string field \"id\""
-    | Some (Some id) -> (
-      match Json.(member "verb" j |> Option.map to_string) with
-      | None | Some None -> Error "missing string field \"verb\""
-      | Some (Some name) -> (
+    let fail fmt = Printf.ksprintf (fun msg -> raise (Json.Bad msg)) fmt in
+    let str o name = Option.bind (Json.member name o) Json.to_string in
+    let int name = Option.bind (Json.member name j) Json.to_int in
+    let required name =
+      match str j name with Some s -> s | None -> fail "missing string field %S" name
+    in
+    let params_of o =
+      match Json.member "params" o with
+      | None -> []
+      | Some p ->
+        List.map
+          (fun (k, v) ->
+            match Json.to_int v with
+            | Some n -> (k, n)
+            | None -> fail "parameter %S is not an integer" k)
+          (Json.obj_or_empty p)
+    in
+    try
+      let id = required "id" in
+      let name = required "verb" in
+      let verb =
         match verb_of_name name with
+        | Some verb -> verb
         | None ->
-          Error
-            (Printf.sprintf "unknown verb %S (have: %s)" name
-               (String.concat ", " (List.map verb_name all_verbs)))
-        | Some verb ->
-          let int_field name = Option.bind (Json.member name j) Json.to_int in
-          let str_field name = Option.bind (Json.member name j) Json.to_string in
-          let params_of p =
-            List.fold_left
-              (fun acc (k, v) ->
-                match (acc, Json.to_int v) with
-                | Error e, _ -> Error e
-                | Ok _, None -> Error (Printf.sprintf "parameter %S is not an integer" k)
-                | Ok acc, Some n -> Ok ((k, n) :: acc))
-              (Ok []) (Json.obj_or_empty p)
-            |> Result.map List.rev
-          in
-          let params =
-            match Json.member "params" j with None -> Ok [] | Some p -> params_of p
-          in
-          let specs =
-            match Json.member "specs" j with
-            | None -> Ok []
-            | Some p -> (
-              match Json.to_list p with
-              | None -> Error "\"specs\" must be a list"
-              | Some items ->
-                List.fold_left
-                  (fun acc item ->
-                    match acc with
-                    | Error e -> Error e
-                    | Ok acc -> (
-                      match Json.(member "app" item |> Fun.flip Option.bind to_string) with
-                      | None -> Error "every spec needs a string field \"app\""
-                      | Some app -> (
-                        match
-                          match Json.member "params" item with
-                          | None -> Ok []
-                          | Some sp -> params_of sp
-                        with
-                        | Error e -> Error e
-                        | Ok sp -> Ok ((app, sp) :: acc))))
-                  (Ok []) items
-                |> Result.map List.rev)
-          in
-          (match (params, specs) with
-          | Error e, _ | _, Error e -> Error e
-          | Ok q_params, Ok q_specs ->
-            (match int_field "deadline_ms" with
-            | Some d when d < 0 -> Error "deadline_ms must be >= 0"
-            | deadline ->
-              Ok
-                {
-                  q_id = id;
-                  q_verb = verb;
-                  q_deadline_ms = deadline;
-                  q_app = str_field "app";
-                  q_params;
-                  q_session = str_field "session";
-                  q_seed = int_field "seed";
-                  q_max_points = int_field "max_points";
-                  q_specs;
-                })))))
+          fail "unknown verb %S (have: %s)" name
+            (String.concat ", " (List.map verb_name all_verbs))
+      in
+      let q_params = params_of j in
+      let q_specs =
+        match Option.map Json.to_list (Json.member "specs" j) with
+        | None -> []
+        | Some None -> fail "\"specs\" must be a list"
+        | Some (Some items) ->
+          List.map
+            (fun item ->
+              match str item "app" with
+              | Some app -> (app, params_of item)
+              | None -> fail "every spec needs a string field \"app\"")
+            items
+      in
+      let deadline = int "deadline_ms" in
+      if Option.fold ~none:false ~some:(fun d -> d < 0) deadline then
+        fail "deadline_ms must be >= 0";
+      Ok
+        {
+          q_id = id;
+          q_verb = verb;
+          q_deadline_ms = deadline;
+          q_app = str j "app";
+          q_params;
+          q_session = str j "session";
+          q_seed = int "seed";
+          q_max_points = int "max_points";
+          q_specs;
+        }
+    with Json.Bad msg -> Error msg)
 
 let render_request r =
   let opt name f v = Option.map (fun v -> (name, f v)) v in

@@ -82,14 +82,23 @@ let run ?(install_signals = true) ~socket_path sup_cfg =
   Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);
   Unix.listen listen_fd 16;
   Printf.eprintf "[serve] listening on %s\n%!" socket_path;
-  (* All connections ever accepted; fds stay open (merely flagged closed)
-     until after the drain, so a worker-held reply callback can never
-     write into a recycled descriptor. *)
+  (* Open connections. A connection flagged closed is reaped on the next
+     turn: its fd is closed under [wmutex], the same lock [send] checks
+     [closed] under, so a worker's late reply can never write into a
+     recycled descriptor. *)
   let conns = ref [] in
+  let reap c =
+    Mutex.lock c.wmutex;
+    c.closed <- true;
+    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    Mutex.unlock c.wmutex
+  in
   let draining () = Atomic.get stop_sig || Supervisor.draining sup in
   let rec loop () =
     if not (draining ()) then begin
-      let live = List.filter (fun c -> not c.closed) !conns in
+      let dead, live = List.partition (fun c -> c.closed) !conns in
+      List.iter reap dead;
+      conns := live;
       let fds = listen_fd :: List.map (fun c -> c.fd) live in
       (match Unix.select fds [] [] 0.2 with
       | readable, _, _ ->
@@ -118,12 +127,6 @@ let run ?(install_signals = true) ~socket_path sup_cfg =
       (* Finish queued work and checkpoint sweeps before hanging up:
          in-flight replies still have live connections here. *)
       Supervisor.drain sup;
-      List.iter
-        (fun c ->
-          Mutex.lock c.wmutex;
-          c.closed <- true;
-          Mutex.unlock c.wmutex;
-          try Unix.close c.fd with Unix.Unix_error _ -> ())
-        !conns;
+      List.iter reap !conns;
       Printf.eprintf "[serve] drained, bye\n%!")
     loop

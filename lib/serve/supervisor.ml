@@ -262,7 +262,7 @@ let lint_reply req =
        [
          ("clean", Json.Bool (diags = []));
          ("errors", Json.Int (List.length (Lint.errors diags)));
-         ("report", Json.Raw (Lint.render_json ~design diags));
+         ("report", Lint.render_json ~design diags);
        ])
 
 let analyze_reply req =
@@ -275,8 +275,8 @@ let analyze_reply req =
     (Json.Obj
        [
          ("clean", Json.Bool (Absint.clean report && Dependence.clean deps));
-         ("absint", Json.Raw (Absint.render_json report));
-         ("dependence", Json.Raw (Dependence.render_json deps));
+         ("absint", Absint.render_json report);
+         ("dependence", Dependence.render_json deps);
        ])
 
 (* ---------------- sessions ------------------------------------------ *)

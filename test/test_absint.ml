@@ -497,7 +497,7 @@ let test_checkpoint_roundtrips_absint_pruned () =
 
 let test_render_json_shape () =
   let r = Absint.analyze (linear_store_design ~words:16 ~stop:17 ()) in
-  let js = Absint.render_json r in
+  let js = Dhdl_util.Json.render (Absint.render_json r) in
   check_bool "names the design" true (contains ~needle:"\"design\"" js);
   check_bool "has a mems array" true (contains ~needle:"\"mems\"" js);
   check_bool "refutation serialized" true (contains ~needle:"refuted" js);

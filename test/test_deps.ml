@@ -1,8 +1,8 @@
 (* Tests for the loop-carried dependence analysis (Dhdl_absint.Dependence):
    the single-source-of-truth II wiring (estimator == simulator on every
    registry point, and no local II logic left in either consumer), the
-   differential oracle against enumerated iteration spaces, the L012/L013
-   lint passes, the Dep_pruned DSE classification with its checkpoint
+   differential oracle against enumerated iteration spaces, the L013
+   lint pass, the Dep_pruned DSE classification with its checkpoint
    round-trip, the dependence JSON payload of `dhdl analyze`, and the
    ragged-tile row-coalescing fix in Cycle_model.transfer_estimate. *)
 
@@ -36,9 +36,6 @@ let contains ~needle haystack =
 
 let has_error code diags =
   List.exists (fun g -> g.Diag.code = code && g.Diag.severity = Diag.Error) diags
-
-let has_warning code diags =
-  List.exists (fun g -> g.Diag.code = code && g.Diag.severity = Diag.Warning) diags
 
 (* ------------------------- fixtures -------------------------------- *)
 
@@ -80,8 +77,7 @@ let test_no_local_ii_logic () =
       let src = read_file path in
       check_bool (path ^ " routes through Dependence.ii") true
         (contains ~needle:"Dependence.ii" src);
-      (* The old syntactic heuristic lived on these identifiers; its only
-         remaining home is Dependence.heuristic_ii (the L012 comparator). *)
+      (* The old syntactic heuristic lived on these identifiers. *)
       List.iter
         (fun needle ->
           check_bool
@@ -255,26 +251,24 @@ let test_oracle_fixtures () =
          | _ -> false)
        pairs)
 
-(* ------------------------- L012 / L013 ----------------------------- *)
+(* ------------------------- II and L013 ----------------------------- *)
 
-(* The paper-size kmeans centroid-count pipe is the motivating L012 case:
-   it loads one invariant-addressed buffer cell and stores another, which
-   the syntactic rule reads as an unsafe read-modify-write (II = chain
-   latency) but the dependence analysis proves independent (II = 1). *)
-let test_l012_kmeans_regression () =
+(* The paper-size kmeans centroid-count pipe loads one invariant-addressed
+   buffer cell and stores another: a syntactic read-modify-write rule
+   charges it the full recurrence latency, but the dependence analysis
+   proves the pair independent (II = 1; see EXPERIMENTS.md). *)
+let test_kmeans_count_ii () =
   let a = List.find (fun (a : App.t) -> a.App.name = "kmeans") Registry.all in
   let sizes = a.App.test_sizes in
   let d = a.App.generate ~sizes ~params:(a.App.default_params sizes) in
   let rep = Dependence.analyze d in
-  check_bool "a pipe is proved II=1 where the heuristic charged a recurrence" true
-    (List.exists
-       (fun (p : Dependence.pipe_dep) ->
-         p.Dependence.pd_ii = 1 && p.Dependence.pd_heuristic_ii > 1)
-       rep.Dependence.r_pipes);
-  let diags = Lint.check d in
-  check_bool "L012 warning emitted" true (has_warning "L012" diags);
-  check_bool "L012 is not an error" false (has_error "L012" diags);
-  check_bool "no L013 at the default point" false (has_error "L013" diags)
+  match List.find_opt (fun (p : Dependence.pipe_dep) -> p.Dependence.pd_label = "count")
+          rep.Dependence.r_pipes with
+  | None -> Alcotest.fail "no count pipe"
+  | Some p ->
+    check_bool "count pipe has a recurrence" true (p.Dependence.pd_latency > 1);
+    check_int "count pipe proved II" 1 p.Dependence.pd_ii;
+    check_bool "no L013 at the default point" false (has_error "L013" (Lint.check d))
 
 let test_l013_witness () =
   let diags = Lint.check (shift_design ~par:4 ()) in
@@ -360,7 +354,7 @@ let test_checkpoint_roundtrips_dep_pruned () =
 (* The dependence payload embedded by `dhdl analyze --json`. *)
 let test_render_json_payload () =
   let rep = Dependence.analyze (shift_design ~par:4 ()) in
-  let js = Dependence.render_json rep in
+  let js = Dhdl_util.Json.render (Dependence.render_json rep) in
   List.iter
     (fun needle -> check_bool ("payload has " ^ needle) true (contains ~needle js))
     [
@@ -368,7 +362,6 @@ let test_render_json_payload () =
       "\"summary\":";
       "\"pipes\":";
       "\"ii\":";
-      "\"heuristic_ii\":";
       "\"status\":\"carried\"";
       "\"distance\":1";
       "\"witness\":";
@@ -441,7 +434,7 @@ let () =
         ] );
       ( "lint",
         [
-          Alcotest.test_case "L012 kmeans regression" `Quick test_l012_kmeans_regression;
+          Alcotest.test_case "kmeans count pipe proves II=1" `Quick test_kmeans_count_ii;
           Alcotest.test_case "L013 witness" `Quick test_l013_witness;
           Alcotest.test_case "benchmarks legal" `Quick test_benchmarks_l013_clean;
         ] );

@@ -292,6 +292,46 @@ let test_resume_rejects_corrupt_checkpoint () =
   | exception Failure _ -> ());
   Sys.remove path
 
+(* A malformed literal on a non-final line is corruption, not a torn tail:
+   the reader must check every byte of true/false/null. *)
+let replace_first ~needle ~by s =
+  let n = String.length needle in
+  let rec find j =
+    if j + n > String.length s then None
+    else if String.sub s j n = needle then Some j
+    else find (j + 1)
+  in
+  Option.map (fun j -> String.sub s 0 j ^ by ^ String.sub s (j + n) (String.length s - j - n)) (find 0)
+
+let test_malformed_literal_rejected () =
+  let path = tmp "trux.jsonl" in
+  ignore (run_sweep ~checkpoint:path (Lazy.force estimator));
+  let trux line =
+    List.find_map
+      (fun needle -> replace_first ~needle ~by:"\"valid\":trux" line)
+      [ "\"valid\":true"; "\"valid\":false" ]
+  in
+  let golden = read_file path in
+  let lines = String.split_on_char '\n' golden in
+  (* Every eval line but the final one (which could pass for a torn tail). *)
+  let last_entry = List.length lines - 2 in
+  let text =
+    String.concat "\n"
+      (List.mapi
+         (fun i line -> if i < last_entry then Option.value (trux line) ~default:line else line)
+         lines)
+  in
+  check_bool "a non-final eval line was mutated" true (text <> golden);
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc;
+  (match Checkpoint.load ~path with
+  | Ok c ->
+    Alcotest.failf "loaded %d entries from a checkpoint with \"valid\":trux"
+      (List.length c.Checkpoint.entries)
+  | Error msg -> check_bool "mentions corruption" true (contains msg "corrupt"));
+  Sys.remove path
+
 let test_deadline_truncates_then_resume_completes () =
   let est = Lazy.force estimator in
   let path = tmp "deadline.jsonl" in
@@ -371,6 +411,7 @@ let () =
           Alcotest.test_case "torn tail tolerated at every cut" `Quick test_torn_tail_every_cut;
           Alcotest.test_case "mismatch rejected" `Quick test_resume_rejects_mismatched_checkpoint;
           Alcotest.test_case "corrupt rejected" `Quick test_resume_rejects_corrupt_checkpoint;
+          Alcotest.test_case "malformed literal rejected" `Quick test_malformed_literal_rejected;
           Alcotest.test_case "deadline + resume" `Quick test_deadline_truncates_then_resume_completes;
         ] );
       ( "degradation",

@@ -189,6 +189,19 @@ let test_summary_from_jsonl_roundtrip () =
        one (span rollups rebuild from the exported span events). *)
     check_string "summary identical to live render" live rendered
 
+(* An attribute value ending in a backslash renders as an escaped
+   backslash right before the closing quote; the reader must not take that
+   quote for an escaped one. *)
+let test_summary_from_jsonl_trailing_backslash () =
+  let snap =
+    with_sink ~fake_clock:true @@ fun () ->
+    Obs.span "work" ~attrs:[ ("path", "C:\\") ] (fun () -> advance_ms 1.0);
+    Obs.snapshot ()
+  in
+  match Obs.summary_of_jsonl (Obs.to_jsonl snap) with
+  | Error msg -> Alcotest.failf "roundtrip failed: %s" msg
+  | Ok rendered -> check_string "summary identical to live render" (Obs.render_summary snap) rendered
+
 let test_summary_from_jsonl_rejects_garbage () =
   (match Obs.summary_of_jsonl "{\"type\":\"counter\",\"name\":\"c\",\"value\":1}\nnot json\n" with
   | Ok _ -> Alcotest.fail "malformed line accepted"
@@ -287,7 +300,7 @@ let test_attribution_with_obs_instrumentation () =
 
 let test_attribution_json () =
   let r = run_sweep ~jobs:2 (Lazy.force estimator) in
-  let json = Profile.to_json (attr_of r) in
+  let json = Dhdl_util.Json.render (Profile.to_json (attr_of r)) in
   List.iter
     (fun needle -> check_bool ("json has " ^ needle) true (contains json needle))
     [ "\"jobs\":2"; "\"work_frac\":"; "\"contention_frac\":"; "\"stall_frac\":";
@@ -315,6 +328,8 @@ let () =
       ( "jsonl",
         [
           Alcotest.test_case "summary roundtrip" `Quick test_summary_from_jsonl_roundtrip;
+          Alcotest.test_case "trailing backslash in an attr" `Quick
+            test_summary_from_jsonl_trailing_backslash;
           Alcotest.test_case "malformed input rejected" `Quick
             test_summary_from_jsonl_rejects_garbage;
         ] );

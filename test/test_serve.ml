@@ -909,6 +909,23 @@ let test_socket_stale_file_replaced () =
   ignore (must_call client (P.request ~id:"stale-bye" P.Shutdown));
   rm_rf root
 
+(* Every Client.call opens its own connection. The server must release
+   each descriptor once its peer hangs up: kept open, they pass select's
+   1,024-descriptor limit after about a thousand requests and the event
+   loop dies. *)
+let test_socket_many_connections () =
+  let socket = tmp "many.sock" in
+  let root = fresh_root "many" in
+  with_server ~socket (sup_config ~root ()) @@ fun _ ->
+  let client = Client.create ~timeout_s:10.0 ~max_attempts:1 ~socket_path:socket () in
+  for i = 1 to 1_500 do
+    match Client.call client (P.request ~id:(Printf.sprintf "many-%d" i) P.Ping) with
+    | Ok { P.r_body = Ok _; _ } -> ()
+    | Ok r -> Alcotest.failf "ping %d: unexpected reply %s" i (P.render_reply r)
+    | Error msg -> Alcotest.failf "ping %d got no reply: %s" i msg
+  done;
+  rm_rf root
+
 (* ==================================================================== *)
 (* 9. Acceptance soak: 5% mixed faults, exactly one typed reply each    *)
 (* ==================================================================== *)
@@ -1035,6 +1052,7 @@ let () =
         [
           Alcotest.test_case "end to end" `Quick test_socket_end_to_end;
           Alcotest.test_case "stale socket file replaced" `Quick test_socket_stale_file_replaced;
+          Alcotest.test_case "1,500 one-shot connections" `Quick test_socket_many_connections;
         ] );
       ( "soak",
         [

@@ -1,5 +1,6 @@
 (* Unit and property tests for the utility layer: PRNG, statistics, integer
-   arithmetic, linear algebra, Pareto extraction and text rendering. *)
+   arithmetic, linear algebra, Pareto extraction, text rendering and the
+   JSON codec (including the checkpoint reader built on it). *)
 
 module Rng = Dhdl_util.Rng
 module Stats = Dhdl_util.Stats
@@ -8,6 +9,11 @@ module Matrix = Dhdl_util.Matrix
 module Pareto = Dhdl_util.Pareto
 module Texttable = Dhdl_util.Texttable
 module Asciiplot = Dhdl_util.Asciiplot
+module Json = Dhdl_util.Json
+module Checkpoint = Dhdl_dse.Checkpoint
+module Outcome = Dhdl_dse.Outcome
+module Estimator = Dhdl_model.Estimator
+module Area_model = Dhdl_model.Area_model
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
@@ -326,6 +332,118 @@ let test_asciiplot () =
   in
   check_bool "log axis labeled" true (String.length logp > 0)
 
+(* ------------------------- Json ------------------------------------ *)
+
+let finite_float = QCheck.Gen.map (fun f -> if Float.is_finite f then f else 0.5) QCheck.Gen.float
+
+(* Values [parse] can return: no [Raw], finite floats only. Strings and
+   keys draw from all 256 byte values, so every escape is exercised. *)
+let json_gen =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun n -> Json.Int n) int;
+        map (fun f -> Json.Float f) finite_float;
+        map (fun s -> Json.Str s) string;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (0 -- 4) (self (n / 4))));
+               (1, map (fun kv -> Json.Obj kv) (list_size (0 -- 4) (pair string (self (n / 4)))));
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json parse (render v) = v" ~count:500
+    (QCheck.make ~print:Json.render json_gen)
+    (fun v -> Json.parse (Json.render v) = Ok v)
+
+(* A checkpoint with one generated evaluation (line 2) followed by a
+   failed and a pruned point, so line 2 is never the tolerated torn tail. *)
+let checkpoint_gen =
+  let open QCheck.Gen in
+  map
+    (fun ((ns, fs), (valid, msg)) ->
+      let n i = List.nth ns i and f i = List.nth fs i in
+      let area =
+        { Estimator.alms = n 0; luts = n 1; regs = n 2; dsps = n 3; brams = n 4;
+          routing_luts = n 5; unavailable_luts = n 6; duplicated_regs = n 7;
+          duplicated_brams = n 8 }
+      in
+      let raw =
+        { Area_model.resources =
+            { Dhdl_device.Resources.lut_packable = n 9; lut_unpackable = n 10; regs = n 11;
+              dsps = n 12; brams = n 13 };
+          nets = n 14; avg_fanout = f 0; tree_depth = n 15; streams = n 16; ctrl_count = n 17;
+          double_buffers = n 18; prim_count = n 19 }
+      in
+      let ev =
+        { Outcome.point = [ ("tile", n 20); ("par", n 21) ];
+          estimate = { Estimator.area; cycles = f 1; seconds = f 2; raw }; valid;
+          alm_pct = f 3; dsp_pct = f 4; bram_pct = f 5 }
+      in
+      { Checkpoint.space_name = "gen"; seed = 7; max_points = 3; total = 3;
+        params = [ "tile"; "par" ];
+        entries =
+          [ (0, Outcome.Evaluated ev); (1, Outcome.Failed (Outcome.Lint_error, msg));
+            (2, Outcome.Pruned) ];
+        truncated_tail = false })
+    (pair (pair (list_repeat 22 small_nat) (list_repeat 6 finite_float)) (pair bool string))
+
+let with_checkpoint_file text f =
+  let path = Filename.temp_file "dhdl_json" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc text;
+      close_out oc;
+      f (Checkpoint.load ~path))
+
+let checkpoint_arb = QCheck.make ~print:Checkpoint.render checkpoint_gen
+
+let prop_checkpoint_roundtrip =
+  QCheck.Test.make ~name:"checkpoint load (render c) = c" ~count:200 checkpoint_arb (fun c ->
+      with_checkpoint_file (Checkpoint.render c) (fun r -> r = Ok c))
+
+let eval_line c =
+  match String.split_on_char '\n' (Checkpoint.render c) with
+  | header :: line :: rest -> (header, line, String.concat "\n" rest)
+  | _ -> assert false
+
+(* Any strict, non-empty prefix of a non-final line is corruption. *)
+let prop_checkpoint_truncation =
+  QCheck.Test.make ~name:"truncated checkpoint line is an Error" ~count:200
+    QCheck.(pair checkpoint_arb (make QCheck.Gen.nat))
+    (fun (c, k) ->
+      let header, line, rest = eval_line c in
+      let cut = 1 + (k mod (String.length line - 1)) in
+      with_checkpoint_file
+        (String.concat "\n" [ header; String.sub line 0 cut; rest ])
+        Result.is_error)
+
+(* A flipped byte may still spell a valid entry (a digit for a digit), so
+   the property is that the loader answers instead of raising. *)
+let prop_checkpoint_byte_flip =
+  QCheck.Test.make ~name:"byte-flipped checkpoint line never raises" ~count:300
+    QCheck.(triple checkpoint_arb (make QCheck.Gen.nat) (int_range 1 255))
+    (fun (c, k, mask) ->
+      let header, line, rest = eval_line c in
+      let b = Bytes.of_string line in
+      let i = k mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+      with_checkpoint_file
+        (String.concat "\n" [ header; Bytes.to_string b; rest ])
+        (function Ok _ | Error _ -> true))
+
 let () =
   Alcotest.run "util"
     [
@@ -393,5 +511,12 @@ let () =
           Alcotest.test_case "fmt" `Quick test_fmt;
           Alcotest.test_case "asciiplot" `Quick test_asciiplot;
           Alcotest.test_case "asciiplot degenerate" `Quick test_asciiplot_degenerate;
+        ] );
+      ( "json",
+        [
+          qtest prop_json_roundtrip;
+          qtest prop_checkpoint_roundtrip;
+          qtest prop_checkpoint_truncation;
+          qtest prop_checkpoint_byte_flip;
         ] );
     ]
