@@ -61,33 +61,18 @@ let make_estimator ?cache ?(quiet = false) ~seed ~train_samples () =
     est
 
 (* Every command that estimates goes through one [Eval.t]: the keyed,
-   memoizing pipeline. [no_cache] (from [--no-cache]) creates it with both
-   caps at 0, which disables the caches without changing any result. *)
+   memoizing pipeline. [no_cache] (from [--no-cache]) creates it with a
+   cap of 0, which disables the caches without changing any result. *)
 let make_eval ?cache ?quiet ?(no_cache = false) ~seed ~train_samples () =
   let est = make_estimator ?cache ?quiet ~seed ~train_samples () in
-  if no_cache then Eval.create ~analysis_cap:0 ~estimate_cap:0 est else Eval.create est
+  if no_cache then Eval.create ~cap:0 est else Eval.create est
 
-(* Resolve the CLI's positional parameters to the concrete binding the
-   generator will see — the defaults with each given [name=value]
-   overriding its entry — without elaborating. Generators tolerate
-   partial bindings, but the symbolic predicate routes on the full
-   point (pinned parameters included), so the merge matters. *)
-let resolved_point ~app ~params =
-  let app = lookup_app app in
-  let sizes = app.App.paper_sizes in
-  let overrides = parse_params params in
-  let merged =
-    List.map
-      (fun (k, v) ->
-        (k, match List.assoc_opt k overrides with Some v' -> v' | None -> v))
-      (app.App.default_params sizes)
-  in
-  let extra = List.filter (fun (k, _) -> not (List.mem_assoc k merged)) overrides in
-  (app, merged @ extra)
-
+(* The design at the CLI's positional parameters, resolved against the
+   app's defaults (see [App.instantiate]). *)
 let design_of ~app ~params =
-  let app, params = resolved_point ~app ~params in
-  (app, app.App.generate ~sizes:app.App.paper_sizes ~params)
+  let app = lookup_app app in
+  let _, design = App.instantiate app (parse_params params) in
+  (app, design)
 
 (* --- common args ---------------------------------------------------- *)
 
@@ -309,14 +294,6 @@ let no_eval_cache_arg =
           "Disable the evaluation cache (analysis verdicts and estimates keyed by canonical \
            design hash). Results are bit-identical either way; only time changes.")
 
-let no_absint_arg =
-  Arg.(
-    value & flag
-    & info [ "no-absint" ]
-        ~doc:
-          "Disable proof-backed pruning: points refuted by the proof passes (L009 out-of-bounds, \
-           L010 bank conflict, L013 unsafe pipelining) are estimated instead of dropped.")
-
 let no_symbolic_arg =
   Arg.(
     value & flag
@@ -328,12 +305,11 @@ let no_symbolic_arg =
 
 let dse_cmd =
   let run app seed train points cache trace jsonl metrics jobs chunk no_cache checkpoint resume
-      deadline inject faults_seed no_absint no_symbolic profile =
+      deadline inject faults_seed no_symbolic profile =
     with_obs ~trace ~jsonl ~metrics @@ fun () ->
     let cfg =
-      Explore.Config.make ~seed ~max_points:points ~absint:(not no_absint)
-        ~symbolic:(not no_symbolic) ~jobs ~chunk ?checkpoint ~resume ?deadline_seconds:deadline
-        ~profile ()
+      Explore.Config.make ~seed ~max_points:points ~symbolic:(not no_symbolic) ~jobs ~chunk
+        ?checkpoint ~resume ?deadline_seconds:deadline ~profile ()
     in
     Option.iter
       (fun p ->
@@ -404,7 +380,7 @@ let dse_cmd =
     Term.(
       const run $ app_arg $ seed_arg $ train_arg $ points_arg $ cache_arg $ trace_arg $ jsonl_arg
       $ metrics_arg $ jobs_arg $ chunk_arg $ no_eval_cache_arg $ checkpoint_arg $ resume_arg
-      $ deadline_arg $ inject_faults_arg $ faults_seed_arg $ no_absint_arg $ no_symbolic_arg
+      $ deadline_arg $ inject_faults_arg $ faults_seed_arg $ no_symbolic_arg
       $ profile_flag_arg)
 
 let codegen_cmd =
@@ -627,7 +603,8 @@ let analyze_cmd =
   in
   let run app params json symbolic =
     if symbolic then begin
-      let a, point = resolved_point ~app ~params in
+      let a = lookup_app app in
+      let point = App.resolve a (parse_params params) in
       let sizes = a.App.paper_sizes in
       let gate =
         Symgate.derive ~space:(a.App.space sizes)

@@ -15,10 +15,9 @@
      refutation clauses whose truth implies the concrete pass refutes
      with the same diagnostic code;
    - {!Predicate.eval} decides a fresh binding in microseconds, without
-     elaborating the design: [Refuted] points skip generation entirely,
-     [Legal] points skip the concrete absint re-proof, and anything the
-     symbolic domain cannot settle stays [Unknown] and falls back to the
-     full pipeline.
+     elaborating the design: [Refuted] points skip generation entirely;
+     [Legal] and [Unknown] points run the full pipeline in a sweep, and
+     [Legal] is reported by [dhdl analyze --symbolic].
 
    Derivation is empirical-but-validated rather than re-implemented: a
    handful of *probe* designs (concrete points of the same skeleton) are

@@ -22,6 +22,25 @@ let get params name default =
 
 let generate_default t sizes = t.generate ~sizes ~params:(t.default_params sizes)
 
+let resolve t overrides =
+  let merged =
+    List.map
+      (fun (k, v) -> (k, Option.value (List.assoc_opt k overrides) ~default:v))
+      (t.default_params t.paper_sizes)
+  in
+  merged @ List.filter (fun (k, _) -> not (List.mem_assoc k merged)) overrides
+
+let instantiate t overrides =
+  let params = resolve t overrides in
+  match t.generate ~sizes:t.paper_sizes ~params with
+  | design -> (params, design)
+  | exception e ->
+    let why = match e with Failure msg -> msg | e -> Printexc.to_string e in
+    failwith
+      (Printf.sprintf "cannot generate %s at %s: %s" t.name
+         (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) params))
+         why)
+
 (* Largest divisor of [n] that is <= [cap] and divisible by [par]; used by
    default design points so they are legal at any dataset size. *)
 let divisor_tile ~n ~cap ~par =

@@ -30,15 +30,14 @@ let add_analyze a d = a.s_analyze <- a.s_analyze +. d
 let add_estimate a d = a.s_estimate <- a.s_estimate +. d
 
 (* Analysis verdict for one design, as cached: which prune class (if any)
-   the enabled lint/absint passes put it in. Error-level diagnostics split
-   three ways: heuristic lint errors prune the point (counted as lint);
-   points whose errors include an abstract-interpretation proof
-   (L009/L010, each carrying a concrete witness) are [Absint_refuted] —
-   they describe hardware that provably corrupts data, so estimating them
-   would pollute the frontier; and points whose only errors are
-   dependence refutations of the chosen parallelization (L013) are
-   [Dep_refuted] — the design is sound at par=1 but the sampled par is
-   proven illegal. *)
+   the full [Lint.check] puts it in. Error-level diagnostics split three
+   ways: heuristic lint errors prune the point (counted as lint); points
+   whose errors include an abstract-interpretation proof (L009/L010, each
+   carrying a concrete witness) are [Absint_refuted] — they describe
+   hardware that provably corrupts data, so estimating them would pollute
+   the frontier; and points whose only errors are dependence refutations
+   of the chosen parallelization (L013) are [Dep_refuted] — the design is
+   sound at par=1 but the sampled par is proven illegal. *)
 type verdict = Clean | Heuristic_errors | Absint_refuted | Dep_refuted
 
 (* Everything the estimate stage derives from one design, as cached. The
@@ -126,12 +125,9 @@ type stats = { hits : int; misses : int; evictions : int }
    long-running server stays bounded. *)
 let default_cap = 131_072
 
-let create ?(analysis_cap = default_cap) ?(estimate_cap = default_cap) est =
-  if analysis_cap < 0 then
-    failwith (Printf.sprintf "analysis_cap must be >= 0 (got %d)" analysis_cap);
-  if estimate_cap < 0 then
-    failwith (Printf.sprintf "estimate_cap must be >= 0 (got %d)" estimate_cap);
-  { est; analysis = Cache.create analysis_cap; estimates = Cache.create estimate_cap }
+let create ?(cap = default_cap) est =
+  if cap < 0 then failwith (Printf.sprintf "cap must be >= 0 (got %d)" cap);
+  { est; analysis = Cache.create cap; estimates = Cache.create cap }
 
 let estimator t = t.est
 
@@ -158,22 +154,9 @@ let non_finite_detail (e : Outcome.evaluation) =
     e.Outcome.estimate.Estimator.cycles e.Outcome.estimate.Estimator.seconds e.Outcome.alm_pct
     e.Outcome.dsp_pct e.Outcome.bram_pct
 
-(* The analysis cache key: full design key plus the enabled analysis set
-   (a lint-only verdict must never answer a lint+absint probe). The
-   device is deliberately absent — one [Eval.t] wraps one estimator and
-   therefore one device, so it is constant per cache. *)
-let analysis_cache_key ~lint ~absint key =
-  Design_key.to_string key ^ (if lint then "/l" else "/-") ^ if absint then "a" else "-"
-
-let run_analysis t ?stages ~lint ~absint design =
+let run_analysis t ?stages design =
   timed stages add_analyze @@ fun () ->
-  let dev = Estimator.device t.est in
-  let diags =
-    if lint && absint then Lint.check ~dev design
-    else if lint then Lint.check ~dev ~only:Lint.heuristic_codes design
-    else if absint then Lint.check ~dev ~validate:false ~only:Lint.proof_codes design
-    else []
-  in
+  let diags = Lint.check ~dev:(Estimator.device t.est) design in
   let proof, heuristic =
     List.partition (fun g -> List.mem g.Diag.code Lint.proof_codes) (Lint.errors diags)
   in
@@ -182,18 +165,18 @@ let run_analysis t ?stages ~lint ~absint design =
   else if List.for_all (fun g -> g.Diag.code = "L013") proof then Dep_refuted
   else Absint_refuted
 
-let analysis_verdict t ?stages ~bypass ~lint ~absint ~key design =
-  if (not lint) && not absint then Clean
-  else if bypass || not (Cache.enabled t.analysis) then run_analysis t ?stages ~lint ~absint design
+(* Both caches are keyed by the design key alone. The device is
+   deliberately absent — one [Eval.t] wraps one estimator and therefore
+   one device, so it is constant per cache. *)
+let cached c ?stages ~bypass ~key compute =
+  if bypass || not (Cache.enabled c) then compute ()
   else begin
-    let ck =
-      timed stages add_probe @@ fun () -> analysis_cache_key ~lint ~absint (Lazy.force key)
-    in
-    match timed stages add_probe (fun () -> Cache.find t.analysis ck) with
+    let ck = timed stages add_probe @@ fun () -> Lazy.force key in
+    match timed stages add_probe (fun () -> Cache.find c ck) with
     | Some v -> v
     | None ->
-      let v = run_analysis t ?stages ~lint ~absint design in
-      timed stages add_probe (fun () -> Cache.add t.analysis ck v);
+      let v = compute () in
+      timed stages add_probe (fun () -> Cache.add c ck v);
       v
   end
 
@@ -209,18 +192,6 @@ let run_estimate t ?stages design =
     ce_bram = bram;
   }
 
-let cached_estimate t ?stages ~bypass ~key design =
-  if bypass || not (Cache.enabled t.estimates) then run_estimate t ?stages design
-  else begin
-    let ck = timed stages add_probe @@ fun () -> Design_key.to_string (Lazy.force key) in
-    match timed stages add_probe (fun () -> Cache.find t.estimates ck) with
-    | Some v -> v
-    | None ->
-      let v = run_estimate t ?stages design in
-      timed stages add_probe (fun () -> Cache.add t.estimates ck v);
-      v
-  end
-
 (* The exception barrier around one point's generate -> analyze ->
    estimate pipeline: every failure mode becomes a classified entry
    instead of killing the sweep. [Faults.inject] sites (keyed by point
@@ -230,7 +201,7 @@ let cached_estimate t ?stages ~bypass ~key design =
    [Estimator.estimate] under the ambient per-point key, so a memoized
    estimate would replay another point's fault decision and break the
    bit-identical-under-faults guarantee the fault tests pin. *)
-let evaluate t ?stages ~lint ~absint ~index ~generate point =
+let evaluate t ?stages ~index ~generate point =
   match
     try
       Faults.inject ~key:index "dse.generator";
@@ -243,11 +214,11 @@ let evaluate t ?stages ~lint ~absint ~index ~generate point =
     (* Shared lazily between the two cached stages: the estimate probe
        reuses the key the analysis probe derived, and cache-off or
        bypassed runs never pay for a key at all. *)
-    let key = lazy (Design_key.of_design design) in
+    let key = lazy (Design_key.to_string (Design_key.of_design design)) in
     match
       try
         Faults.inject ~key:index "dse.lint";
-        Ok (analysis_verdict t ?stages ~bypass ~lint ~absint ~key design)
+        Ok (cached t.analysis ?stages ~bypass ~key (fun () -> run_analysis t ?stages design))
       with exn -> Error (Outcome.Lint_error, describe exn)
     with
     | Error (stage, msg) -> Outcome.Failed (stage, msg)
@@ -257,7 +228,7 @@ let evaluate t ?stages ~lint ~absint ~index ~generate point =
     | Ok Clean -> (
       try
         Faults.inject ~key:index "dse.estimator";
-        let ce = cached_estimate t ?stages ~bypass ~key design in
+        let ce = cached t.estimates ?stages ~bypass ~key (fun () -> run_estimate t ?stages design) in
         let e =
           {
             Outcome.point;
@@ -281,7 +252,9 @@ let evaluate t ?stages ~lint ~absint ~index ~generate point =
 
 let cached_eval_of ?(cache = true) t design =
   let bypass = (not cache) || Faults.active () in
-  cached_estimate t ~bypass ~key:(lazy (Design_key.of_design design)) design
+  cached t.estimates ~bypass
+    ~key:(lazy (Design_key.to_string (Design_key.of_design design)))
+    (fun () -> run_estimate t design)
 
 let estimate ?cache t design = (cached_eval_of ?cache t design).ce_estimate
 

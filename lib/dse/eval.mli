@@ -1,17 +1,17 @@
 (** The one way to turn a design (or a design-space point) into an
     outcome.
 
-    [Eval] owns the generate -> lint/absint -> estimate pipeline that
+    [Eval] owns the generate -> lint -> estimate pipeline that
     used to be spliced inline into [Explore], the serve supervisor,
     [bin/dhdl] and the benches. Every caller now goes through a shared
     [Eval.t], which keys each elaborated design by its canonical
     {!Dhdl_model.Design_key} and memoizes the two expensive stages behind
     bounded content-addressed caches:
 
-    - {b analysis} verdicts (lint + abstract-interpretation pruning) are
-      keyed by the design key plus the enabled analysis set, so any two
-      points that elaborate to the same graph share one proof effort —
-      across sweeps, resumed sessions and server requests alike;
+    - {b analysis} verdicts (the full {!Dhdl_lint.Lint.check}: validator,
+      heuristic passes and proof passes) are keyed by the design key, so
+      any two points that elaborate to the same graph share one proof
+      effort — across sweeps, resumed sessions and server requests alike;
     - {b estimates} (area/cycles plus fit and utilization) are keyed by
       the full design key, which makes repeated, overlapping or resumed
       sweeps near-free once warm.
@@ -49,11 +49,11 @@ type t
 (** Cumulative cache accounting across both caches since [create]. *)
 type stats = { hits : int; misses : int; evictions : int }
 
-(** [create est] wraps an estimator in an evaluation pipeline.
-    [analysis_cap] and [estimate_cap] bound the two caches (entries, not
-    bytes); a cap of [0] disables that cache. Defaults hold a full
-    paper-scale sweep (75k points) without eviction. *)
-val create : ?analysis_cap:int -> ?estimate_cap:int -> Estimator.t -> t
+(** [create est] wraps an estimator in an evaluation pipeline. [cap]
+    bounds each of the two caches (entries, not bytes); a cap of [0]
+    disables both. The default holds a full paper-scale sweep (75k
+    points) without eviction. *)
+val create : ?cap:int -> Estimator.t -> t
 
 (** The wrapped estimator, for callers that need device/board facts or
     the uncorrected model (degraded serve replies, utilization math). *)
@@ -61,9 +61,10 @@ val estimator : t -> Estimator.t
 
 val stats : t -> stats
 
-(** [evaluate t ~lint ~absint ~index ~generate point] runs the full
-    barriered pipeline for one design-space point: every failure mode
-    becomes a classified {!Outcome.entry} instead of an exception.
+(** [evaluate t ~index ~generate point] runs the full barriered
+    pipeline for one design-space point — generate, the full
+    {!Dhdl_lint.Lint.check}, estimate — where every failure mode becomes
+    a classified {!Outcome.entry} instead of an exception.
     [index] keys the deterministic fault-injection sites
     ([dse.generator] / [dse.lint] / [dse.estimator] / [dse.non_finite])
     so a resumed or parallel sweep replays the same faults at the same
@@ -71,8 +72,6 @@ val stats : t -> stats
 val evaluate :
   t ->
   ?stages:stages ->
-  lint:bool ->
-  absint:bool ->
   index:int ->
   generate:(Space.point -> Dhdl_ir.Ir.design) ->
   Space.point ->

@@ -59,12 +59,9 @@ module Config = struct
   type t = {
     seed : int;
     max_points : int;
-    lint : bool;
-    absint : bool;
     symbolic : bool;
     jobs : int;
     chunk : int;
-    span_every : int;
     tick_every : int;
     checkpoint : string option;
     checkpoint_every : int;
@@ -110,12 +107,9 @@ module Config = struct
     {
       seed = 2016;
       max_points = 75_000;
-      lint = true;
-      absint = true;
       symbolic = true;
       jobs = 1;
       chunk = 16;
-      span_every = 100;
       tick_every = 1000;
       checkpoint = None;
       checkpoint_every = 500;
@@ -125,25 +119,20 @@ module Config = struct
       stop_requested = None;
     }
 
-  let make ?(seed = default.seed) ?(max_points = default.max_points) ?(lint = default.lint)
-      ?(absint = default.absint) ?(symbolic = default.symbolic) ?(jobs = default.jobs)
-      ?(chunk = default.chunk) ?(span_every = default.span_every)
+  let make ?(seed = default.seed) ?(max_points = default.max_points)
+      ?(symbolic = default.symbolic) ?(jobs = default.jobs) ?(chunk = default.chunk)
       ?(tick_every = default.tick_every) ?checkpoint
       ?(checkpoint_every = default.checkpoint_every) ?(resume = default.resume)
       ?deadline_seconds ?(profile = default.profile) ?stop_requested () =
     validate_run
-      { seed; max_points; lint; absint; symbolic; jobs; chunk; span_every; tick_every;
-        checkpoint; checkpoint_every; resume; deadline_seconds; profile; stop_requested }
+      { seed; max_points; symbolic; jobs; chunk; tick_every; checkpoint; checkpoint_every;
+        resume; deadline_seconds; profile; stop_requested }
 
   let with_seed seed t = validate { t with seed }
   let with_max_points max_points t = validate { t with max_points }
-  let with_lint lint t = validate { t with lint }
-  let with_absint absint t = validate { t with absint }
   let with_symbolic symbolic t = validate { t with symbolic }
   let with_jobs jobs t = validate { t with jobs }
   let with_chunk chunk t = validate { t with chunk }
-  let with_span_every span_every t = validate { t with span_every }
-  let with_tick_every tick_every t = validate { t with tick_every }
 
   let with_checkpoint ?(every = default.checkpoint_every) path t =
     validate { t with checkpoint = Some path; checkpoint_every = every }
@@ -151,7 +140,6 @@ module Config = struct
   let with_resume resume t = validate { t with resume }
   let with_deadline deadline t = validate { t with deadline_seconds = Some deadline }
   let with_profile profile t = validate { t with profile }
-  let with_stop_check stop t = validate { t with stop_requested = Some stop }
 end
 
 let pareto_of evals =
@@ -248,8 +236,8 @@ end
 
 let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   let cfg = Config.validate_run cfg in
-  let { Config.seed; max_points; lint; absint; symbolic; jobs; chunk; span_every; tick_every;
-        checkpoint; checkpoint_every; resume; deadline_seconds; profile; stop_requested } =
+  let { Config.seed; max_points; symbolic; jobs; chunk; tick_every; checkpoint; checkpoint_every;
+        resume; deadline_seconds; profile; stop_requested } =
     cfg
   in
   Obs.span "dse.run"
@@ -285,13 +273,11 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   (* The symbolic gate is derived once, before any worker starts, from a
      fixed-seed probe sample — so every point (on every domain, at every
      chunk size) consults the identical constraint system and the
-     bit-identical-checkpoint guarantee survives. It only runs when both
-     analysis passes it fronts for are on (otherwise pruning points the
-     concrete pipeline would have kept changes results), and stands down
-     while fault injection is armed, because its probe elaborations
-     would consume fault sites the per-point replay expects. *)
+     bit-identical-checkpoint guarantee survives. It stands down while
+     fault injection is armed, because its probe elaborations would
+     consume fault sites the per-point replay expects. *)
   let gate =
-    if symbolic && lint && absint && not (Faults.active ()) then
+    if symbolic && not (Faults.active ()) then
       Some (Obs.span "dse.symgate" (fun () -> Symgate.derive ~space ~generate ()))
     else None
   in
@@ -325,45 +311,34 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
       let start = Unix.gettimeofday () in
       let e =
         Faults.with_key i @@ fun () ->
-        Obs.span_sampled ~every:span_every ~i "dse.point" @@ fun () ->
-        (* Pre-elaboration gate: a refuted point never generates, a
-           proved-legal one skips the concrete absint re-proof (the
-           lint-only path still runs the heuristic passes), and anything
-           unknown pays the full pipeline as before. Verdict time is
+        Obs.span_sampled ~every:100 ~i "dse.point" @@ fun () ->
+        (* Pre-elaboration gate: a refuted point is never generated;
+           everything else runs [Eval]'s full pipeline. Verdict time is
            attributed to the probe stage when profiling. *)
-        let verdict =
+        let refuted =
           match gate with
-          | None -> Symbolic.Unknown "gate off"
-          | Some g ->
+          | None -> false
+          | Some g -> (
             let t0 = if stages <> None then Unix.gettimeofday () else 0.0 in
             let v = Symgate.verdict g p in
             (match stages with
             | Some s -> s.Eval.s_probe <- s.Eval.s_probe +. (Unix.gettimeofday () -. t0)
             | None -> ());
-            v
+            match v with Symbolic.Refuted _ -> true | Symbolic.Legal | Symbolic.Unknown _ -> false)
         in
-        match verdict with
-        | Symbolic.Refuted _ ->
-          if Obs.enabled () then Obs.count "dse.sym_pruned";
-          Outcome.Sym_pruned
-        | Symbolic.Legal | Symbolic.Unknown _ ->
-          let absint =
-            match verdict with Symbolic.Legal -> false | _ -> absint
-          in
-          if Obs.enabled () then begin
-            let e = Eval.evaluate ev ?stages ~lint ~absint ~index:i ~generate p in
-            (match e with
-            | Outcome.Evaluated _ ->
-              Obs.count "dse.estimated";
-              Obs.observe "dse.ms_per_design" ((Unix.gettimeofday () -. start) *. 1000.0)
-            | Outcome.Pruned -> Obs.count "dse.lint_pruned"
-            | Outcome.Absint_pruned -> Obs.count "dse.absint_pruned"
-            | Outcome.Dep_pruned -> Obs.count "dse.dep_pruned"
-            | Outcome.Sym_pruned -> Obs.count "dse.sym_pruned"
-            | Outcome.Failed (stage, _) -> Obs.count (stage_counter stage));
-            e
-          end
-          else Eval.evaluate ev ?stages ~lint ~absint ~index:i ~generate p
+        let e = if refuted then Outcome.Sym_pruned else Eval.evaluate ev ?stages ~index:i ~generate p in
+        if Obs.enabled () then begin
+          match e with
+          | Outcome.Evaluated _ ->
+            Obs.count "dse.estimated";
+            Obs.observe "dse.ms_per_design" ((Unix.gettimeofday () -. start) *. 1000.0)
+          | Outcome.Pruned -> Obs.count "dse.lint_pruned"
+          | Outcome.Absint_pruned -> Obs.count "dse.absint_pruned"
+          | Outcome.Dep_pruned -> Obs.count "dse.dep_pruned"
+          | Outcome.Sym_pruned -> Obs.count "dse.sym_pruned"
+          | Outcome.Failed (stage, _) -> Obs.count (stage_counter stage)
+        end;
+        e
       in
       (e, false, Unix.gettimeofday () -. start)
   in

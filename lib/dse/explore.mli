@@ -18,8 +18,8 @@
     results and checkpoint files are bit-identical across every jobs
     level, chunk size, and {!Eval} cache temperature.
 
-    Per-point evaluation itself — generate → lint/absint → estimate
-    behind the design-key caches — lives in {!Eval}; [run] takes the
+    Per-point evaluation itself — generate → lint → estimate behind the
+    design-key caches — lives in {!Eval}; [run] takes the
     {!Eval.t} so concurrent and consecutive sweeps can share one
     memo. *)
 
@@ -101,26 +101,18 @@ type result = {
 (** Sweep configuration: one validated record instead of the
     labelled-optional-argument signature [run] used to have. Start from
     {!Config.default} (the paper's settings: seed 2016, up to 75,000
-    sampled points, lint pruning on, sequential) and refine with the
+    sampled points, symbolic gate on, sequential) and refine with the
     [with_*] builders, or construct in one call with {!Config.make}. *)
 module Config : sig
   type t = {
     seed : int;  (** Sampling seed (the paper uses 2016). *)
     max_points : int;  (** Sampling budget (the paper's cap is 75,000). *)
-    lint : bool;  (** Prune error-level heuristic lint diagnostics. *)
-    absint : bool;
-        (** Prune points the proof-backed passes refute: L009/L010
-            abstract-interpretation errors count as [absint_pruned],
-            L013 dependence refutations as [dep_pruned]. Runs the proof
-            passes alone when [lint] is off. *)
     symbolic : bool;
         (** Gate points through the pre-elaboration symbolic legality
-            predicate (default on). Effective only when [lint] and
-            [absint] are both on (otherwise pruning would change the
-            result set) and fault injection is not armed. Symbolically
-            refuted points count as [sym_pruned] and are never
-            generated; proved-legal points skip the concrete absint
-            re-proof; everything else runs the full pipeline. *)
+            predicate (default on). Effective only while fault injection
+            is not armed. Symbolically refuted points count as
+            [sym_pruned] and are never generated; every other point runs
+            the full pipeline. *)
     jobs : int;  (** Worker domains; 1 (default) = sequential. *)
     chunk : int;
         (** Points per cursor claim and per worker→collector message when
@@ -129,7 +121,6 @@ module Config : sig
             of a sweep. No effect on results: the collector releases
             chunks in index order, so entries and checkpoints stay
             bit-identical across chunk sizes. Ignored when [jobs = 1]. *)
-    span_every : int;  (** Record a [dse.point] span every N points; 0 off. *)
     tick_every : int;  (** Progress tick on stderr every N points; 0 off. *)
     checkpoint : string option;  (** JSONL checkpoint path. *)
     checkpoint_every : int;  (** Periodic write cadence; 0 = only at end. *)
@@ -163,12 +154,9 @@ module Config : sig
   val make :
     ?seed:int ->
     ?max_points:int ->
-    ?lint:bool ->
-    ?absint:bool ->
     ?symbolic:bool ->
     ?jobs:int ->
     ?chunk:int ->
-    ?span_every:int ->
     ?tick_every:int ->
     ?checkpoint:string ->
     ?checkpoint_every:int ->
@@ -185,8 +173,6 @@ module Config : sig
 
   val with_seed : int -> t -> t
   val with_max_points : int -> t -> t
-  val with_lint : bool -> t -> t
-  val with_absint : bool -> t -> t
   val with_symbolic : bool -> t -> t
 
   val with_jobs : int -> t -> t
@@ -194,9 +180,6 @@ module Config : sig
 
   val with_chunk : int -> t -> t
   (** Raises [Failure] unless [1 <= chunk <= max_chunk]. *)
-
-  val with_span_every : int -> t -> t
-  val with_tick_every : int -> t -> t
 
   val with_checkpoint : ?every:int -> string -> t -> t
   (** Set the checkpoint path and (optionally) the periodic write cadence. *)
@@ -210,9 +193,6 @@ module Config : sig
 
   val with_profile : bool -> t -> t
   (** Toggle time attribution; see {!Profile} and [result.attribution]. *)
-
-  val with_stop_check : (unit -> bool) -> t -> t
-  (** Install a cooperative cancellation hook (see [stop_requested]). *)
 end
 
 val run :
@@ -227,27 +207,25 @@ val run :
     concurrent server request sharing the same [Eval.t] — skip those
     stages via the design-key caches ([cache_hits]/[cache_misses] in the
     result account for both).
-    When [config.lint] is [true] (the default), each generated design runs
-    through {!Dhdl_lint.Lint.check} against the estimator's device and
-    points with error-level diagnostics are pruned before estimation.
-    Errors split by origin: points with heuristic lint errors count in
-    [lint_pruned]; points whose errors include an abstract-interpretation
-    proof ({!Dhdl_lint.Lint.proof_codes}: L009 out-of-bounds, L010 bank
+    Every generated design runs through the full {!Dhdl_lint.Lint.check}
+    (validator, heuristic passes and proof passes) against the
+    estimator's device, and points with error-level diagnostics are
+    pruned before estimation. Errors split by origin: points with
+    heuristic lint errors count in [lint_pruned]; points whose errors
+    include an abstract-interpretation proof
+    ({!Dhdl_lint.Lint.proof_codes}: L009 out-of-bounds, L010 bank
     conflict) count in [absint_pruned]; points whose only errors are
     dependence refutations of the chosen parallelization (L013) count in
-    [dep_pruned]. With [config.absint] off the proof passes are skipped;
-    with [config.lint] off but [config.absint] on, only the proof passes
-    run (no validator, no heuristics).
+    [dep_pruned].
 
-    {b Symbolic gate.} When [config.symbolic], [config.lint] and
-    [config.absint] are all on and fault injection is idle, the sweep
-    first derives one symbolic constraint system per design-family
-    skeleton from a small fixed-seed probe sample ({!Symgate.derive},
-    recorded under the [dse.symgate] span) and consults it before each
-    point's pipeline: symbolically refuted points become
-    {!Outcome.Sym_pruned} without ever being generated, proved-legal
-    points skip the concrete absint re-proof, and unknown points are
-    unaffected. The gate is derived once, before any worker starts, so
+    {b Symbolic gate.} When [config.symbolic] is on and fault injection
+    is idle, the sweep first derives one symbolic constraint system per
+    design-family skeleton from a small fixed-seed probe sample
+    ({!Symgate.derive}, recorded under the [dse.symgate] span) and
+    consults it before each point's pipeline: symbolically refuted
+    points become {!Outcome.Sym_pruned} without ever being generated,
+    and every other point ([Legal] or [Unknown]) runs the full pipeline.
+    The gate is derived once, before any worker starts, so
     parallel and resumed sweeps keep their bit-identity guarantees; a
     checkpoint written with the gate on differs from one written with it
     off only in entries' pruned kind ([sym_pruned] vs
@@ -307,8 +285,8 @@ val run :
     / [dse.failed.generator] / [dse.failed.lint] /
     [dse.failed.estimator] / [dse.failed.non_finite] — all pre-registered
     at zero — plus [dse.resumed] on resume), a [dse.ms_per_design]
-    histogram over estimator calls, a per-point [dse.point] span for every
-    [span_every]-th point (default 100; 0 disables), and a progress tick
+    histogram over estimator calls, a [dse.point] span for every 100th
+    point, and a progress tick
     on stderr every [tick_every] points (default 1000). With the sink
     disabled (the default) none of this costs anything.
 

@@ -32,10 +32,9 @@ val proof_codes : string list
     them alone is sound even when the heuristic passes are disabled. *)
 
 val heuristic_codes : string list
-(** The complement of {!proof_codes} over the registry: the heuristic
-    passes that still run when a caller (the evaluation layer's lint-only
-    path, or the symbolic gate's proved-[Legal] shortcut) skips the
-    proof-backed re-analysis. *)
+(** The complement of {!proof_codes} over the registry. The DSE pipeline
+    always runs every pass; this split exists so benchmarks and tests can
+    time or exercise the heuristic passes on their own. *)
 
 val check : ?dev:Target.t -> ?validate:bool -> ?only:string list -> Ir.design -> Diagnostic.t list
 (** Run the validator ([validate] defaults to [true]) and every registered

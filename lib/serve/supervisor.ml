@@ -123,11 +123,6 @@ let need_session req =
     failwith (Printf.sprintf "bad session id %S (use [A-Za-z0-9._-], <= 64 chars)" sid);
   sid
 
-let design_of (app : App.t) params =
-  let sizes = app.App.paper_sizes in
-  let params = if params = [] then app.App.default_params sizes else params in
-  (params, app.App.generate ~sizes ~params)
-
 let params_json params = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) params)
 
 let expired p =
@@ -168,7 +163,7 @@ let area_json (a : Estimator.area) =
    depend on what happens to be cached. *)
 let estimate_payload t ev ~depth (app : App.t) req_params =
   let est = Eval.estimator ev in
-  let params, design = design_of app req_params in
+  let params, design = App.instantiate app req_params in
   let degraded = depth >= t.cfg.degrade_depth || nn_fallback_tripped t in
   let area, cycles, seconds =
     if degraded then begin
@@ -255,7 +250,7 @@ let estimate_batch_reply t p ~depth =
 let lint_reply req =
   let id = req.P.q_id in
   let app = need_app req in
-  let _, design = design_of app req.P.q_params in
+  let _, design = App.instantiate app req.P.q_params in
   let diags = Lint.check design in
   P.ok ~id
     (Json.Obj
@@ -268,7 +263,7 @@ let lint_reply req =
 let analyze_reply req =
   let id = req.P.q_id in
   let app = need_app req in
-  let _, design = design_of app req.P.q_params in
+  let _, design = App.instantiate app req.P.q_params in
   let report = Absint.analyze design in
   let deps = Dependence.analyze design in
   P.ok ~id

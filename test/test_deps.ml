@@ -324,11 +324,7 @@ let test_explore_dep_pruning () =
   check_int "refuted par pruned as dep_pruned" 1 r.Explore.dep_pruned;
   check_int "not counted as absint_pruned" 0 r.Explore.absint_pruned;
   check_int "not counted as lint_pruned" 0 r.Explore.lint_pruned;
-  check_int "legal point estimated" 1 (List.length r.Explore.evaluations);
-  (* --no-absint estimates the refuted point instead of dropping it. *)
-  let r2 = run_dep_sweep (Explore.Config.with_absint false base) in
-  check_int "no dep pruning when proofs are off" 0 r2.Explore.dep_pruned;
-  check_int "both points estimated" 2 (List.length r2.Explore.evaluations)
+  check_int "legal point estimated" 1 (List.length r.Explore.evaluations)
 
 let test_checkpoint_roundtrips_dep_pruned () =
   let path = Filename.temp_file "deps" ".jsonl" in

@@ -153,7 +153,7 @@ let direct_pipeline est ~index:_ point =
         }
 
 let eval_all ev pts =
-  List.mapi (fun i p -> Eval.evaluate ev ~lint:true ~absint:true ~index:i ~generate p) pts
+  List.mapi (fun i p -> Eval.evaluate ev ~index:i ~generate p) pts
 
 let test_extensional_equality () =
   let est = Lazy.force estimator in
@@ -162,7 +162,7 @@ let test_extensional_equality () =
   let cached_ev = Eval.create est in
   let cold = eval_all cached_ev pts in
   let warm = eval_all cached_ev pts in
-  let off = eval_all (Eval.create ~analysis_cap:0 ~estimate_cap:0 est) pts in
+  let off = eval_all (Eval.create ~cap:0 est) pts in
   check_bool "cold cache = direct pipeline" true (cold = direct);
   check_bool "warm cache = direct pipeline" true (warm = direct);
   check_bool "cache disabled = direct pipeline" true (off = direct);
@@ -181,10 +181,10 @@ let test_warm_pass_is_all_hits () =
 
 let test_eviction_is_deterministic () =
   let pts = points 25 in
-  let run () = eval_all (Eval.create ~analysis_cap:0 ~estimate_cap:3 (Lazy.force estimator)) pts in
+  let run () = eval_all (Eval.create ~cap:3 (Lazy.force estimator)) pts in
   let r1 = run () and r2 = run () in
   check_bool "tiny cache, identical outcomes" true (r1 = r2);
-  let ev = Eval.create ~analysis_cap:0 ~estimate_cap:3 (Lazy.force estimator) in
+  let ev = Eval.create ~cap:3 (Lazy.force estimator) in
   ignore (eval_all ev pts);
   check_bool "capacity 3 under 25 designs evicts" true ((Eval.stats ev).Eval.evictions > 0)
 
@@ -227,7 +227,7 @@ let test_checkpoint_identity_matrix () =
     let ev =
       match temperature with
       | `Cold -> Eval.create est
-      | `Off -> Eval.create ~analysis_cap:0 ~estimate_cap:0 est
+      | `Off -> Eval.create ~cap:0 est
       | `Warm -> warm_ev
     in
     let cp = tmp (Printf.sprintf "matrix_j%d_p%b_%s.jsonl" jobs profile

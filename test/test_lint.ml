@@ -290,14 +290,7 @@ let test_explore_prunes_lint_errors () =
   in
   check_int "sampled both points" 2 r.Explore.sampled;
   check_int "racy point pruned" 1 r.Explore.lint_pruned;
-  check_int "clean point evaluated" 1 (List.length r.Explore.evaluations);
-  let r' =
-    Explore.run
-      Explore.Config.(default |> with_seed 3 |> with_max_points 10 |> with_lint false)
-      (Eval.create est) ~space ~generate
-  in
-  check_int "lint off evaluates everything" 2 (List.length r'.Explore.evaluations);
-  check_int "lint off prunes nothing" 0 r'.Explore.lint_pruned
+  check_int "clean point evaluated" 1 (List.length r.Explore.evaluations)
 
 let () =
   Alcotest.run "lint"

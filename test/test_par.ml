@@ -57,7 +57,7 @@ let test_config_defaults () =
   check_int "paper seed" 2016 d.Explore.Config.seed;
   check_int "paper budget" 75_000 d.Explore.Config.max_points;
   check_int "sequential by default" 1 d.Explore.Config.jobs;
-  check_bool "lint on by default" true d.Explore.Config.lint;
+  check_bool "symbolic gate on by default" true d.Explore.Config.symbolic;
   check_bool "no checkpoint by default" true (d.Explore.Config.checkpoint = None)
 
 let test_config_rejects () =

@@ -349,6 +349,19 @@ let test_cli_client_unreachable () =
     [ "client"; "--attempts"; "1"; "--socket"; tmp "nosock.sock"; "ping" ]
     "dhdl: error:"
 
+(* A binding the generator cannot elaborate (a zero tile divides by zero)
+   is a bad parameter like any other: exit 1 through the handler, never an
+   uncaught exception, whose exit 2 reads as "lint found errors". *)
+let test_cli_generator_exception () =
+  List.iter
+    (fun args -> expect_cli_error args "cannot generate")
+    [
+      [ "lint"; "dotproduct"; "tile=0" ];
+      [ "analyze"; "kmeans"; "tile=0" ];
+      [ "print"; "tpchq6"; "tile=0" ];
+      [ "lint"; "outerprod"; "tileA=0" ];
+    ]
+
 let test_cli_success_still_zero () =
   let code, out, _ = run_cli [ "list" ] in
   check_int "dhdl list exits 0" 0 code;
@@ -596,13 +609,16 @@ let test_estimate_batch () =
       ("dotproduct", [ ("tile", 128); ("par", 4) ]);
       ("dotproduct", [ ("tile", 128); ("par", 4) ]);
       ("nosuchapp", []);
+      (* The generator divides by the tile: a per-item bad_request, not a
+         handler crash that is retried and then quarantined. *)
+      ("dotproduct", [ ("tile", 0) ]);
     ]
   in
   let p = payload (rpc sup (P.request ~id:"batch-1" ~specs P.Estimate_batch)) in
-  check_int "count covers every spec" 3 (ifield "count" p);
-  check_int "only the bad spec failed" 1 (ifield "failed" p);
+  check_int "count covers every spec" 4 (ifield "count" p);
+  check_int "only the bad specs failed" 2 (ifield "failed" p);
   (match Sjson.to_list (field "items" p) with
-  | Some [ ok1; ok2; bad ] ->
+  | Some [ ok1; ok2; bad; unbuildable ] ->
     let e1 = field "ok" ok1 and e2 = field "ok" ok2 in
     check_str "item app echoed" "dotproduct" (sfield "app" e1);
     check_bool "item carries area" true (ifield "alms" (field "area" e1) >= 0);
@@ -613,13 +629,49 @@ let test_estimate_batch () =
     let err = field "error" bad in
     check_str "bad item is typed per-item" "bad_request" (sfield "code" err);
     check_bool "item error names the benchmark" true
-      (contains (sfield "message" err) "unknown benchmark")
-  | Some items -> Alcotest.failf "expected 3 items, got %d" (List.length items)
+      (contains (sfield "message" err) "unknown benchmark");
+    let err = field "error" unbuildable in
+    check_str "unbuildable item is typed per-item" "bad_request" (sfield "code" err);
+    check_bool "item error names the binding" true
+      (contains (sfield "message" err) "cannot generate dotproduct at tile=0")
+  | Some items -> Alcotest.failf "expected 4 items, got %d" (List.length items)
   | None -> Alcotest.fail "items is not a list");
   (* One bad item never fails the envelope, but an empty batch does. *)
   let e = err_of (rpc sup (P.request ~id:"batch-2" P.Estimate_batch)) in
   check_bool "empty specs is a typed bad_request" true
     (e.P.err_code = P.Bad_request && contains e.P.err_message "specs")
+
+(* The server resolves a partial binding like the CLI does: against the
+   app's [default_params], not the generator's own fallbacks. A one-key
+   binding equal to its default must answer exactly what the default
+   design estimates to. *)
+let test_partial_binding_resolves_to_defaults () =
+  let ev = Eval.create (Lazy.force estimator) in
+  with_sup (sup_config ()) @@ fun sup ->
+  List.iter
+    (fun (a : App.t) ->
+      let defaults = a.App.default_params a.App.paper_sizes in
+      let one_key = [ List.hd defaults ] in
+      let p =
+        payload
+          (rpc sup
+             (P.request ~id:(fresh_id "partial") ~app:a.App.name ~params:one_key P.Estimate))
+      in
+      let e = Eval.estimate ev (App.generate_default a a.App.paper_sizes) in
+      let num name =
+        match Sjson.to_float (field name p) with
+        | Some f -> f
+        | None -> Alcotest.failf "field %S is not a number" name
+      in
+      check_bool (a.App.name ^ ": full binding echoed") true
+        (field "params" p = Sjson.Obj (List.map (fun (k, v) -> (k, Sjson.Int v)) defaults));
+      check_bool (a.App.name ^ ": cycles of the default design") true
+        (num "cycles" = e.Estimator.cycles);
+      check_bool (a.App.name ^ ": seconds of the default design") true
+        (num "seconds" = e.Estimator.seconds);
+      check_int (a.App.name ^ ": ALMs of the default design") e.Estimator.area.Estimator.alms
+        (ifield "alms" (field "area" p)))
+    Registry.all
 
 let test_bad_requests_are_typed () =
   with_sup (sup_config ()) @@ fun sup ->
@@ -1007,6 +1059,8 @@ let () =
           Alcotest.test_case "unknown subcommand flag" `Quick test_cli_unknown_sub_flag;
           Alcotest.test_case "unknown benchmark" `Quick test_cli_unknown_benchmark;
           Alcotest.test_case "client without a server" `Quick test_cli_client_unreachable;
+          Alcotest.test_case "generator exception is a bad parameter" `Quick
+            test_cli_generator_exception;
           Alcotest.test_case "valid command still exits 0" `Quick test_cli_success_still_zero;
         ] );
       ( "json",
@@ -1034,6 +1088,8 @@ let () =
         [
           Alcotest.test_case "basic verbs" `Quick test_basic_verbs;
           Alcotest.test_case "estimate batch" `Quick test_estimate_batch;
+          Alcotest.test_case "partial binding resolves to defaults" `Quick
+            test_partial_binding_resolves_to_defaults;
           Alcotest.test_case "bad requests are typed" `Quick test_bad_requests_are_typed;
           Alcotest.test_case "idempotent reply cache" `Quick test_idempotent_reply_cache;
           Alcotest.test_case "admission control" `Quick test_admission_control;

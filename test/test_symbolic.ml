@@ -1,8 +1,10 @@
 (* The symbolic legality layer: expression/fit/predicate unit laws, the
    differential oracle (no symbolic [Legal]/[Refuted] verdict may ever
    contradict concrete analysis, over every registry app and seeded
-   random bindings), the [Sym_pruned] checkpoint round-trip, parallel /
-   chunked byte-identity with the gate on, and the gate's point: a cold
+   random bindings), the gate's routing assumption (a routed binding
+   elaborates to its system's skeleton), the [Sym_pruned] checkpoint
+   round-trip, parallel / chunked byte-identity with the gate on, and
+   the gate's point: a cold
    sweep with the gate on elaborates measurably fewer designs than
    [--no-symbolic] on an app with refutable regions.
 
@@ -19,6 +21,7 @@ module Absint = Dhdl_absint.Absint
 module Dependence = Dhdl_absint.Dependence
 module App = Dhdl_apps.App
 module Registry = Dhdl_apps.Registry
+module Design_key = Dhdl_model.Design_key
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -36,6 +39,16 @@ let read_file path =
 let app name = Registry.find name
 let space_of a = a.App.space a.App.paper_sizes
 let generate_of a p = a.App.generate ~sizes:a.App.paper_sizes ~params:p
+
+(* Each registry app's gate, derived once and shared by the tests that
+   sweep every app (gda's derivation alone takes over a second). *)
+let gates =
+  lazy
+    (List.map
+       (fun a -> (a.App.name, Symgate.derive ~space:(space_of a) ~generate:(generate_of a) ()))
+       Registry.all)
+
+let gate_of a = List.assoc a.App.name (Lazy.force gates)
 
 (* ------------------------------------------------------------------ *)
 (* Expression and predicate laws                                       *)
@@ -173,7 +186,7 @@ let test_differential_oracle () =
     (fun (a : App.t) ->
       let space = space_of a in
       let generate = generate_of a in
-      let gate = Symgate.derive ~space ~generate () in
+      let gate = gate_of a in
       let pts = Space.sample space ~seed:oracle_seed ~max_points:oracle_points in
       check_bool
         (Printf.sprintf "%s: oracle has a non-trivial sample" a.App.name)
@@ -221,6 +234,39 @@ let test_differential_oracle () =
   check_bool "dotproduct has symbolically proved points" true (legal_of "dotproduct" > 0);
   check_bool "oracle saw Legal verdicts" true (!legal_total > 0);
   check_bool "oracle saw Refuted verdicts" true (!refuted_total > 0)
+
+(* The gate routes a binding to the one system whose pinned parameters it
+   satisfies, assuming generators change graph structure only through
+   such flag parameters. Check that assumption: a binding exactly one
+   system applies to must elaborate to that system's skeleton. *)
+let routing_points = 300
+let routing_seed = 4242
+
+let test_routing_matches_skeleton () =
+  List.iter
+    (fun (a : App.t) ->
+      let pts = Space.sample (space_of a) ~seed:routing_seed ~max_points:routing_points in
+      check_bool
+        (Printf.sprintf "%s: at least 200 routing points" a.App.name)
+        true
+        (List.length pts >= 200);
+      let systems = Symgate.systems (gate_of a) in
+      let routed = ref 0 in
+      List.iter
+        (fun p ->
+          match List.filter (fun sys -> Symbolic.Predicate.applies sys p) systems with
+          | [ sys ] ->
+            incr routed;
+            let sk = Design_key.skeleton_hash (generate_of a p) in
+            if sk <> sys.Symbolic.sy_skeleton then
+              Alcotest.failf "%s: binding %s routed to skeleton %s but elaborates to %s"
+                a.App.name
+                (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) p))
+                sys.Symbolic.sy_skeleton sk
+          | _ -> ())
+        pts;
+      check_bool (a.App.name ^ ": some bindings are routed") true (!routed > 0))
+    Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* Sweep integration: Sym_pruned, checkpoints, byte identity           *)
@@ -312,21 +358,6 @@ let test_gate_reduces_elaborations () =
     (r_on.Explore.lint_pruned + r_on.Explore.absint_pruned + r_on.Explore.dep_pruned
    + r_on.Explore.sym_pruned)
 
-let test_gate_requires_both_passes () =
-  (* With either analysis pass off the gate must stand down: pruning
-     points the concrete pipeline would have kept changes results. *)
-  let ev = Eval.create (Lazy.force estimator) in
-  let a = app "kmeans" in
-  let run cfg = Explore.run cfg ev ~space:(space_of a) ~generate:(generate_of a) in
-  let no_absint =
-    run (Explore.Config.make ~seed:2016 ~max_points:80 ~absint:false ~symbolic:true ())
-  in
-  check_int "no absint => no symbolic pruning" 0 no_absint.Explore.sym_pruned;
-  let no_lint =
-    run (Explore.Config.make ~seed:2016 ~max_points:80 ~lint:false ~symbolic:true ())
-  in
-  check_int "no lint => no symbolic pruning" 0 no_lint.Explore.sym_pruned
-
 let () =
   Alcotest.run "symbolic"
     [
@@ -340,6 +371,8 @@ let () =
         [
           Alcotest.test_case "symbolic never contradicts concrete" `Quick
             test_differential_oracle;
+          Alcotest.test_case "routed bindings elaborate to their skeleton" `Quick
+            test_routing_matches_skeleton;
         ] );
       ( "sweep",
         [
@@ -348,6 +381,5 @@ let () =
           Alcotest.test_case "byte identity across jobs x chunk" `Quick
             test_gate_byte_identity_across_jobs_chunk;
           Alcotest.test_case "gate reduces elaborations" `Quick test_gate_reduces_elaborations;
-          Alcotest.test_case "gate requires both passes" `Quick test_gate_requires_both_passes;
         ] );
     ]
