@@ -112,22 +112,20 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 4) from GDA sweeps plus a kmeans
-   symbolic-gate A/B. Four axes:
+(* Writes BENCH_dse.json (schema 5) from GDA sweeps plus a kmeans
+   symbolic-gate A/B. Three axes:
 
    - jobs_sweep: cold wall-clock timing at jobs = 1, 2, 4 (a fresh
      evaluation cache per level, telemetry on, no profiler — comparable
-     with every historical entry), plus a contention attribution from a
+     with every historical entry), plus a time attribution from a
      second, *warm-cache* profiled repeat at the same level. Warm on
      purpose: with the evaluated work memoized away the attribution
-     isolates pure coordination overhead (channel waits, GC barriers,
-     chunk merging), which is the quantity the parallel engine is
-     accountable for on any host — including a single-core container
+     isolates pure coordination overhead (claims, GC barriers, outcome
+     merging), which is the quantity the parallel engine is
+     accountable for on any host — including a single-core host
      where cold jobs>1 walls are dominated by time-sliced estimation.
    - cache_ab: the same sequential sweep cold then again on the warm
      cache — the memoization headline.
-   - chunk_sweep: warm profiled jobs=4 sweeps across chunk sizes, showing
-     how per-claim batching trades collector wakeups against tail skew.
    - symbolic_ab: a cold kmeans sweep (the app with a large symbolically
      refutable region at paper sizes) with the pre-elaboration legality
      gate on vs [--no-symbolic], counting generate calls directly — the
@@ -136,7 +134,7 @@ let run_ablations ~quick () =
 let run_label = ref "dev"
 
 let run_dseperf ~quick () =
-  banner "DSE throughput (telemetry-derived): points/sec per jobs level, cache A/B, chunk sweep";
+  banner "DSE throughput (telemetry-derived): points/sec per jobs level, cache A/B, gate A/B";
   let est = Eval.estimator (the_eval ~quick ()) in
   let fresh_eval () = Eval.create est in
   let app = Dhdl_apps.Registry.find "gda" in
@@ -144,13 +142,9 @@ let run_dseperf ~quick () =
   let points = if quick then 200 else 1_000 in
   let space = app.App.space sizes in
   let generate p = app.App.generate ~sizes ~params:p in
-  let sweep ?(jobs = 1) ?(chunk = 16) ?(profile = false) ?(obs = false) ev =
+  let sweep ?(jobs = 1) ?(profile = false) ?(obs = false) ev =
     if obs then Obs.enable ();
-    let cfg =
-      Explore.Config.(
-        default |> with_seed seed |> with_max_points points |> with_jobs jobs |> with_chunk chunk
-        |> with_profile profile)
-    in
+    let cfg = Explore.Config.make ~seed ~max_points:points ~jobs ~profile () in
     let r = Explore.run cfg ev ~space ~generate in
     let snap = if obs then Some (Obs.snapshot ()) else None in
     if obs then Obs.disable ();
@@ -182,14 +176,6 @@ let run_dseperf ~quick () =
         let rw, _ = sweep ~jobs ~profile:true ev_seq in
         (jobs, rc, attr_of rw))
       jobs_levels
-  in
-  let chunk_levels = [ 1; 4; 16; 64 ] in
-  let chunks =
-    List.map
-      (fun chunk ->
-        let r, _ = sweep ~jobs:4 ~chunk ~profile:true ev_seq in
-        (chunk, r, attr_of r))
-      chunk_levels
   in
   (* Symbolic-gate A/B on kmeans: fresh caches both sides so the only
      difference is the gate. Generate calls are counted at the source —
@@ -236,7 +222,6 @@ let run_dseperf ~quick () =
   let ms = try List.assoc "dse.ms_per_design" (Option.get snap1).Obs.snap_hists with Not_found -> [||] in
   let estimated = r1.Explore.sampled - r1.Explore.lint_pruned in
   let p50 = Obs.percentile ms 50.0 and p95 = Obs.percentile ms 95.0 in
-  let recv_block attr = attr.Dhdl_dse.Profile.collector.Dhdl_dse.Profile.c_recv_block_s in
   let level_json (_jobs, (rc : Explore.result), attr) =
     Json.Obj
       [
@@ -246,16 +231,6 @@ let run_dseperf ~quick () =
         ("wall_ms_per_design", num (Explore.seconds_per_design rc *. 1000.0));
         ("cpu_ms_per_design", num (Explore.cpu_seconds_per_design rc *. 1000.0));
         ("warm_attribution", Dhdl_dse.Profile.to_json attr);
-      ]
-  in
-  let chunk_json (chunk, (r : Explore.result), attr) =
-    Json.Obj
-      [
-        ("chunk", int chunk);
-        ("jobs", int 4);
-        ("elapsed_s", num r.Explore.elapsed_seconds);
-        ("points_per_sec", num (pps r));
-        ("recv_block_s", num (recv_block attr));
       ]
   in
   let cache_ab =
@@ -274,7 +249,7 @@ let run_dseperf ~quick () =
   let json =
     Json.Obj
       [
-        ("schema", int 4);
+        ("schema", int 5);
         ("label", Json.Str !run_label);
         ("app", Json.Str "gda");
         ("points", int r1.Explore.sampled);
@@ -285,8 +260,8 @@ let run_dseperf ~quick () =
           Json.Str
             "points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. \
              a single-core container) makes every jobs>1 level pure coordination overhead. Cold \
-             levels use a fresh evaluation cache; warm_attribution and chunk_sweep are profiled \
-             repeats on a warm cache, isolating coordination from estimation work. symbolic_ab \
+             levels use a fresh evaluation cache; warm_attribution is a profiled repeat on a \
+             warm cache, isolating coordination from estimation work. symbolic_ab \
              is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting \
              generate calls." );
         ("elapsed_s", num r1.Explore.elapsed_seconds);
@@ -295,7 +270,6 @@ let run_dseperf ~quick () =
         ("ms_per_design_p95", num p95);
         ("cache_ab", cache_ab);
         ("symbolic_ab", symbolic_ab);
-        ("chunk_sweep", Json.List (List.map chunk_json chunks));
         ("jobs_sweep", Json.List (List.map level_json levels));
       ]
   in
@@ -312,21 +286,14 @@ let run_dseperf ~quick () =
   List.iter
     (fun (_, (rc : Explore.result), attr) ->
       let module P = Dhdl_dse.Profile in
-      let top_name, top_s = P.top_contender attr in
       Printf.printf
-        "  jobs=%d: cold %.2f s wall, %.0f points/sec; warm attribution: work %.1f%%, \
-         contention %.1f%%, stall %.1f%% (top: %s %.4f s; recv-block %.4f s)\n"
+        "  jobs=%d: cold %.2f s wall, %.0f points/sec; warm attribution: work %.1f%%, stall \
+         %.1f%% (merge %.4f s)\n"
         rc.Explore.jobs rc.Explore.elapsed_seconds (pps rc)
         (100.0 *. P.work_fraction attr)
-        (100.0 *. P.contention_fraction attr)
         (100.0 *. P.stall_fraction attr)
-        top_name top_s (recv_block attr))
+        attr.P.merge_s)
     levels;
-  List.iter
-    (fun (chunk, (r : Explore.result), attr) ->
-      Printf.printf "  chunk=%-3d (jobs=4, warm): %.3f s, %.0f points/sec, recv-block %.4f s\n"
-        chunk r.Explore.elapsed_seconds (pps r) (recv_block attr))
-    chunks;
   Printf.printf
     "symbolic gate A/B (kmeans, cold): on %d generate calls (%d sym-pruned, %.2f s), off %d \
      generate calls (%.2f s) — %d elaborations saved\n"

@@ -248,10 +248,10 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run the sweep on N worker domains (default 1 = sequential). Results, Pareto \
-           frontier, and checkpoint files are bit-identical at every jobs level, so \
-           $(b,--resume) works across jobs settings and $(b,--deadline) still yields a \
-           resumable truncated result; only wall-clock time changes.")
+          "Run the sweep on N computing domains, the calling domain included (default 1 spawns \
+           none). Results, Pareto frontier, and checkpoint files are bit-identical at every \
+           jobs level, so $(b,--resume) works across jobs settings and $(b,--deadline) still \
+           yields a resumable truncated result; only wall-clock time changes.")
 
 let inject_faults_arg =
   Arg.(
@@ -270,21 +270,11 @@ let profile_flag_arg =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Attribute every worker-second of the sweep to \
-           {generate, lint/absint, estimate, send-block, idle} and every collector-second to \
-           {recv-block, reorder-stall, write, merge}, and print the attribution report after the \
+          "Attribute the sweep's setup (sampling, resume load, gate derivation), every \
+           worker-second to {generate, cache-probe, lint/absint, estimate, idle}, and worker 0's \
+           outcome merging and checkpoint writes, and print the attribution report after the \
            sweep. Results and checkpoints stay bit-identical; see $(b,dhdl profile) for the \
            multi-level scaling report.")
-
-let chunk_arg =
-  Arg.(
-    value & opt int 16
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Points per worker claim in the parallel engine (default 16). Workers take index \
-           ranges of N points from the shared cursor and send each completed range to the \
-           collector as one message; results and checkpoints are bit-identical at every \
-           chunk size.")
 
 let no_eval_cache_arg =
   Arg.(
@@ -304,12 +294,12 @@ let no_symbolic_arg =
            identical modulo pruned-outcome kind; only elaboration work changes.")
 
 let dse_cmd =
-  let run app seed train points cache trace jsonl metrics jobs chunk no_cache checkpoint resume
+  let run app seed train points cache trace jsonl metrics jobs no_cache checkpoint resume
       deadline inject faults_seed no_symbolic profile =
     with_obs ~trace ~jsonl ~metrics @@ fun () ->
     let cfg =
-      Explore.Config.make ~seed ~max_points:points ~symbolic:(not no_symbolic) ~jobs ~chunk
-        ?checkpoint ~resume ?deadline_seconds:deadline ~profile ()
+      Explore.Config.make ~seed ~max_points:points ~symbolic:(not no_symbolic) ~jobs ?checkpoint
+        ~resume ?deadline_seconds:deadline ~profile ()
     in
     Option.iter
       (fun p ->
@@ -379,7 +369,7 @@ let dse_cmd =
     (Cmd.info "dse" ~doc:"Explore a benchmark's design space and print the Pareto frontier.")
     Term.(
       const run $ app_arg $ seed_arg $ train_arg $ points_arg $ cache_arg $ trace_arg $ jsonl_arg
-      $ metrics_arg $ jobs_arg $ chunk_arg $ no_eval_cache_arg $ checkpoint_arg $ resume_arg
+      $ metrics_arg $ jobs_arg $ no_eval_cache_arg $ checkpoint_arg $ resume_arg
       $ deadline_arg $ inject_faults_arg $ faults_seed_arg $ no_symbolic_arg
       $ profile_flag_arg)
 
@@ -699,7 +689,7 @@ let profile_cmd =
       & opt (list int) [ 1; 2; 4 ]
       & info [ "jobs"; "j" ] ~docv:"N,N,..."
           ~doc:
-            "Comma-separated worker-domain counts to sweep at, in order. The first level is the \
+            "Comma-separated computing-domain counts to sweep at, in order. The first level is the \
              speedup baseline (use 1 for textbook Amdahl numbers).")
   in
   let json_arg =
@@ -788,24 +778,16 @@ let profile_cmd =
         (fun (_, _, attr) ->
           print_string (Profile.render attr);
           print_newline ())
-        levels;
-      match levels with
-      | (_, _, first) :: (_ :: _ as rest) ->
-        let last = match List.rev rest with (_, _, l) :: _ -> l | [] -> first in
-        let name, secs = Profile.top_contender last in
-        if secs > 0.0 then
-          Printf.printf "at %d jobs the dominant contended resource is the %s (%.4f s)\n"
-            last.Profile.jobs name secs
-      | _ -> ()
+        levels
     end
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Sweep a benchmark's design space at several worker-domain counts and print an \
+         "Sweep a benchmark's design space at several computing-domain counts and print an \
           Amdahl-style scaling report: throughput, speedup, efficiency, inferred serial \
-          fraction, and a full attribution of worker and collector time (work vs contention vs \
-          stall).")
+          fraction, and a full attribution of the run's time (setup, then work vs stall per \
+          computing domain).")
     Term.(
       const run $ app_opt_arg $ jobs_list_arg $ seed_arg $ train_arg $ points_arg $ cache_arg
       $ json_arg $ trace_arg $ jsonl_arg $ metrics_arg)
@@ -841,7 +823,7 @@ let metrics_cmd =
     ignore (Dhdl_sim.Perf_sim.simulate design);
     let result =
       Explore.run
-        Explore.Config.(default |> with_seed seed |> with_max_points points)
+        (Explore.Config.make ~seed ~max_points:points ())
         ev
         ~space:(a.App.space a.App.paper_sizes)
         ~generate:(fun p -> a.App.generate ~sizes:a.App.paper_sizes ~params:p)

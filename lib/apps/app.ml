@@ -20,15 +20,20 @@ let size sizes name =
 let get params name default =
   match List.assoc_opt name params with Some v -> v | None -> default
 
+let param params name =
+  match List.assoc_opt name params with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "missing design parameter %S" name)
+
 let generate_default t sizes = t.generate ~sizes ~params:(t.default_params sizes)
 
-let resolve t overrides =
+let merge defaults overrides =
   let merged =
-    List.map
-      (fun (k, v) -> (k, Option.value (List.assoc_opt k overrides) ~default:v))
-      (t.default_params t.paper_sizes)
+    List.map (fun (k, v) -> (k, Option.value (List.assoc_opt k overrides) ~default:v)) defaults
   in
   merged @ List.filter (fun (k, _) -> not (List.mem_assoc k merged)) overrides
+
+let resolve t overrides = merge (t.default_params t.paper_sizes) overrides
 
 let instantiate t overrides =
   let params = resolve t overrides in
@@ -42,9 +47,15 @@ let instantiate t overrides =
          why)
 
 (* Largest divisor of [n] that is <= [cap] and divisible by [par]; used by
-   default design points so they are legal at any dataset size. *)
+   default design points so they are legal at any dataset size. Every
+   [generate] call computes the defaults, so this scans the multiples of
+   [par] down from the cap (a handful of steps at paper sizes) instead of
+   listing all divisors of [n], which costs O(sqrt n) per call. *)
 let divisor_tile ~n ~cap ~par =
-  let ds = Dhdl_util.Intmath.divisors_up_to n cap in
-  match List.rev (List.filter (fun d -> d mod par = 0) ds) with
-  | d :: _ -> d
-  | [] -> ( match List.rev ds with d :: _ -> d | [] -> n)
+  let rec down step d =
+    if d < 1 then None else if n mod d = 0 then Some d else down step (d - step)
+  in
+  let top = min n cap in
+  match down par (top / par * par) with
+  | Some d -> d
+  | None -> Option.value (down 1 top) ~default:n

@@ -16,6 +16,8 @@ type t = {
   default_params : sizes -> params;  (** A sensible mid-range design point. *)
   space : sizes -> Dhdl_dse.Space.t;
   generate : sizes:sizes -> params:params -> Dhdl_ir.Ir.design;
+      (** Fills a partial binding from [default_params sizes] (see
+          {!merge}), so an omitted parameter means its default. *)
   cpu_workload : sizes -> Dhdl_cpu.Cost_model.workload;
 }
 
@@ -25,16 +27,22 @@ val size : sizes -> string -> int
 val get : params -> string -> int -> int
 (** [get params name default] with a default for omitted parameters. *)
 
+val param : params -> string -> int
+(** [param params name] for a binding {!merge} completed; raises
+    [Failure] naming the parameter when it is absent. *)
+
 val generate_default : t -> sizes -> Dhdl_ir.Ir.design
 (** Instantiate at the default parameters. *)
 
+val merge : params -> params -> params
+(** [merge defaults overrides]: [defaults] with each override replacing
+    its entry, then any override the defaults do not name, in the given
+    order. A full binding in [defaults]' order comes back unchanged. *)
+
 val resolve : t -> params -> params
 (** [resolve t overrides] is the full binding a user's (possibly partial)
-    binding stands for at paper sizes: [t.default_params] with each
-    override replacing its entry, then any override the defaults do not
-    name, in the given order. Generators fall back to their own defaults
-    for omitted names, and those can differ from [default_params], so
-    every user-facing surface resolves through here. *)
+    binding stands for at paper sizes: [merge (t.default_params
+    t.paper_sizes) overrides] — the binding [t.generate] builds. *)
 
 val instantiate : t -> params -> params * Dhdl_ir.Ir.design
 (** [instantiate t overrides] is [resolve t overrides] and the design

@@ -40,11 +40,16 @@ let emit_cndf pb x =
   let negative = B.op pb Op.Lt [ x; B.const 0.0 ] in
   B.mux pb negative one_minus v
 
-let generate ~sizes ~params =
+let default_params sizes =
   let n = App.size sizes "n" in
-  let tile = App.get params "tile" 1024 in
-  let par = App.get params "par" 2 in
-  let meta = App.get params "meta" 1 <> 0 in
+  [ ("tile", App.divisor_tile ~n ~cap:2048 ~par:4); ("par", 4); ("meta", 1) ]
+
+let generate ~sizes ~params =
+  let params = App.merge (default_params sizes) params in
+  let n = App.size sizes "n" in
+  let tile = App.param params "tile" in
+  let par = App.param params "par" in
+  let meta = App.param params "meta" <> 0 in
   assert (n mod tile = 0);
   let b = B.create ~params "blackscholes" in
   let spot = B.offchip b "spot" Dtype.float32 [ n ] in
@@ -118,10 +123,7 @@ let app =
     description = "Black-Scholes-Merton option pricing";
     paper_sizes = [ ("n", 9_995_328) ];
     test_sizes = [ ("n", 256) ];
-    default_params =
-      (fun sizes ->
-        let n = App.size sizes "n" in
-        [ ("tile", App.divisor_tile ~n ~cap:2048 ~par:4); ("par", 4); ("meta", 1) ]);
+    default_params;
     space;
     generate;
     cpu_workload = (fun sizes -> Dhdl_cpu.Cost_model.blackscholes ~n:(App.size sizes "n"));

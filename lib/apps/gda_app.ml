@@ -11,14 +11,19 @@ module B = Dhdl_ir.Builder
 module Space = Dhdl_dse.Space
 module Intmath = Dhdl_util.Intmath
 
+let default_params sizes =
+  let rows = App.size sizes "r" in
+  [ ("tile", min 24 rows); ("parP1", 4); ("parP2", 4); ("metaM1", 1); ("metaM2", 1) ]
+
 let generate ~sizes ~params =
+  let params = App.merge (default_params sizes) params in
   let rows = App.size sizes "r" in
   let cols = App.size sizes "d" in
-  let rtile = App.get params "tile" 40 in
-  let p1 = App.get params "parP1" 4 in
-  let p2 = App.get params "parP2" 4 in
-  let m1 = App.get params "metaM1" 1 <> 0 in
-  let m2 = App.get params "metaM2" 1 <> 0 in
+  let rtile = App.param params "tile" in
+  let p1 = App.param params "parP1" in
+  let p2 = App.param params "parP2" in
+  let m1 = App.param params "metaM1" <> 0 in
+  let m2 = App.param params "metaM2" <> 0 in
   assert (rows mod rtile = 0);
   let b = B.create ~params "gda" in
   let x = B.offchip b "x" Dtype.float32 [ rows; cols ] in
@@ -120,10 +125,7 @@ let app =
     description = "Gaussian discriminant analysis";
     paper_sizes = [ ("r", 360_000); ("d", 96) ];
     test_sizes = [ ("r", 48); ("d", 8) ];
-    default_params =
-      (fun sizes ->
-        let rows = App.size sizes "r" in
-        [ ("tile", min 24 rows); ("parP1", 4); ("parP2", 4); ("metaM1", 1); ("metaM2", 1) ]);
+    default_params;
     space;
     generate;
     cpu_workload =

@@ -11,16 +11,28 @@ module B = Dhdl_ir.Builder
 module Space = Dhdl_dse.Space
 module Intmath = Dhdl_util.Intmath
 
+let default_params sizes =
+  let n = App.size sizes "n" and m = App.size sizes "m" and k = App.size sizes "k" in
+  [
+    ("tileN", min 32 n);
+    ("tileM", min 4 m);
+    ("tileK", min 8 k);
+    ("par", min 4 (min 8 k));
+    ("metaK", 1);
+    ("metaR", 0);
+  ]
+
 let generate ~sizes ~params =
+  let params = App.merge (default_params sizes) params in
   let n = App.size sizes "n" in
   let m = App.size sizes "m" in
   let k = App.size sizes "k" in
-  let tn = App.get params "tileN" 32 in
-  let tm = App.get params "tileM" 32 in
-  let tk = App.get params "tileK" 32 in
-  let par = App.get params "par" 4 in
-  let meta_k = App.get params "metaK" 1 <> 0 in
-  let meta_r = App.get params "metaR" 0 <> 0 in
+  let tn = App.param params "tileN" in
+  let tm = App.param params "tileM" in
+  let tk = App.param params "tileK" in
+  let par = App.param params "par" in
+  let meta_k = App.param params "metaK" <> 0 in
+  let meta_r = App.param params "metaR" <> 0 in
   assert (n mod tn = 0 && m mod tm = 0 && k mod tk = 0);
   let b = B.create ~params "gemm" in
   let a = B.offchip b "a" Dtype.float32 [ n; k ] in
@@ -104,17 +116,7 @@ let app =
     description = "Tiled matrix multiplication";
     paper_sizes = [ ("n", 1_536); ("m", 1_536); ("k", 1_536) ];
     test_sizes = [ ("n", 16); ("m", 12); ("k", 8) ];
-    default_params =
-      (fun sizes ->
-        let n = App.size sizes "n" and m = App.size sizes "m" and k = App.size sizes "k" in
-        [
-          ("tileN", min 32 n);
-          ("tileM", min 4 m);
-          ("tileK", min 8 k);
-          ("par", min 4 (min 8 k));
-          ("metaK", 1);
-          ("metaR", 0);
-        ]);
+    default_params;
     space;
     generate;
     cpu_workload =

@@ -12,15 +12,20 @@ module B = Dhdl_ir.Builder
 module Space = Dhdl_dse.Space
 module Intmath = Dhdl_util.Intmath
 
+let default_params sizes =
+  let points = App.size sizes "n" in
+  [ ("tile", min 32 points); ("parDist", 4); ("parAcc", 2); ("parPoints", 2); ("meta", 1) ]
+
 let generate ~sizes ~params =
+  let params = App.merge (default_params sizes) params in
   let points = App.size sizes "n" in
   let dims = App.size sizes "d" in
   let k = App.size sizes "k" in
-  let tile = App.get params "tile" 64 in
-  let pd = App.get params "parDist" 4 in
-  let pa = App.get params "parAcc" 2 in
-  let pp = App.get params "parPoints" 1 in
-  let meta = App.get params "meta" 1 <> 0 in
+  let tile = App.param params "tile" in
+  let pd = App.param params "parDist" in
+  let pa = App.param params "parAcc" in
+  let pp = App.param params "parPoints" in
+  let meta = App.param params "meta" <> 0 in
   assert (points mod tile = 0);
   let b = B.create ~params "kmeans" in
   let data = B.offchip b "points" Dtype.float32 [ points; dims ] in
@@ -138,10 +143,7 @@ let app =
     description = "k-means clustering";
     paper_sizes = [ ("n", 960_000); ("k", 8); ("d", 384) ];
     test_sizes = [ ("n", 64); ("k", 4); ("d", 8) ];
-    default_params =
-      (fun sizes ->
-        let points = App.size sizes "n" in
-        [ ("tile", min 32 points); ("parDist", 4); ("parAcc", 2); ("parPoints", 2); ("meta", 1) ]);
+    default_params;
     space;
     generate;
     cpu_workload =

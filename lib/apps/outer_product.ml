@@ -10,14 +10,19 @@ module B = Dhdl_ir.Builder
 module Space = Dhdl_dse.Space
 module Intmath = Dhdl_util.Intmath
 
+let default_params sizes =
+  let n = App.size sizes "n" and m = App.size sizes "m" in
+  [ ("tileA", min 128 n); ("tileB", min 128 m); ("par", 4); ("metaA", 1); ("metaB", 1) ]
+
 let generate ~sizes ~params =
+  let params = App.merge (default_params sizes) params in
   let n = App.size sizes "n" in
   let m = App.size sizes "m" in
-  let tn = App.get params "tileA" 128 in
-  let tm = App.get params "tileB" 128 in
-  let par = App.get params "par" 4 in
-  let m1 = App.get params "metaA" 1 <> 0 in
-  let m2 = App.get params "metaB" 1 <> 0 in
+  let tn = App.param params "tileA" in
+  let tm = App.param params "tileB" in
+  let par = App.param params "par" in
+  let m1 = App.param params "metaA" <> 0 in
+  let m2 = App.param params "metaB" <> 0 in
   assert (n mod tn = 0 && m mod tm = 0);
   let b = B.create ~params "outerprod" in
   let x = B.offchip b "x" Dtype.float32 [ n ] in
@@ -81,10 +86,7 @@ let app =
     description = "Vector outer product";
     paper_sizes = [ ("n", 38_400); ("m", 38_400) ];
     test_sizes = [ ("n", 64); ("m", 32) ];
-    default_params =
-      (fun sizes ->
-        let n = App.size sizes "n" and m = App.size sizes "m" in
-        [ ("tileA", min 128 n); ("tileB", min 128 m); ("par", 4); ("metaA", 1); ("metaB", 1) ]);
+    default_params;
     space;
     generate;
     cpu_workload =

@@ -10,11 +10,16 @@ module B = Dhdl_ir.Builder
 module Space = Dhdl_dse.Space
 module Intmath = Dhdl_util.Intmath
 
-let generate ~sizes ~params =
+let default_params sizes =
   let n = App.size sizes "n" in
-  let tile = App.get params "tile" 2048 in
-  let par = App.get params "par" 4 in
-  let meta = App.get params "meta" 1 <> 0 in
+  [ ("tile", App.divisor_tile ~n ~cap:2048 ~par:8); ("par", 8); ("meta", 1) ]
+
+let generate ~sizes ~params =
+  let params = App.merge (default_params sizes) params in
+  let n = App.size sizes "n" in
+  let tile = App.param params "tile" in
+  let par = App.param params "par" in
+  let meta = App.param params "meta" <> 0 in
   assert (n mod tile = 0);
   let b = B.create ~params "tpchq6" in
   let price = B.offchip b "price" Dtype.float32 [ n ] in
@@ -83,10 +88,7 @@ let app =
     description = "TPC-H Query 6";
     paper_sizes = [ ("n", 18_720_000) ];
     test_sizes = [ ("n", 512) ];
-    default_params =
-      (fun sizes ->
-        let n = App.size sizes "n" in
-        [ ("tile", App.divisor_tile ~n ~cap:2048 ~par:8); ("par", 8); ("meta", 1) ]);
+    default_params;
     space;
     generate;
     cpu_workload = (fun sizes -> Dhdl_cpu.Cost_model.tpchq6 ~n:(App.size sizes "n"));

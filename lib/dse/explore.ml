@@ -61,7 +61,6 @@ module Config = struct
     max_points : int;
     symbolic : bool;
     jobs : int;
-    chunk : int;
     tick_every : int;
     checkpoint : string option;
     checkpoint_every : int;
@@ -76,17 +75,10 @@ module Config = struct
      [Failure]-based message style the CLI's error handler renders. *)
   let max_jobs = 64
 
-  (* A chunk is one claim and one collector message; past a few thousand
-     points per message the reorder buffer holds most of the sweep. *)
-  let max_chunk = 65_536
-
   let validate t =
     if t.jobs < 1 then failwith (Printf.sprintf "jobs must be >= 1 (got %d)" t.jobs);
     if t.jobs > max_jobs then
       failwith (Printf.sprintf "jobs must be <= %d (got %d)" max_jobs t.jobs);
-    if t.chunk < 1 then failwith (Printf.sprintf "chunk must be >= 1 (got %d)" t.chunk);
-    if t.chunk > max_chunk then
-      failwith (Printf.sprintf "chunk must be <= %d (got %d)" max_chunk t.chunk);
     if t.max_points < 0 then
       failwith (Printf.sprintf "max_points must be >= 0 (got %d)" t.max_points);
     if t.checkpoint_every < 0 then
@@ -95,13 +87,8 @@ module Config = struct
     | Some d when not (Float.is_finite d && d >= 0.0) ->
       failwith (Printf.sprintf "deadline must be a finite number of seconds >= 0 (got %g)" d)
     | _ -> ());
-    t
-
-  (* Cross-field check, applied when the config is consumed (not in every
-     [with_*] builder, so builder order never matters). *)
-  let validate_run t =
     if t.resume && t.checkpoint = None then failwith "--resume requires --checkpoint FILE";
-    validate t
+    t
 
   let default =
     {
@@ -109,7 +96,6 @@ module Config = struct
       max_points = 75_000;
       symbolic = true;
       jobs = 1;
-      chunk = 16;
       tick_every = 1000;
       checkpoint = None;
       checkpoint_every = 500;
@@ -120,26 +106,12 @@ module Config = struct
     }
 
   let make ?(seed = default.seed) ?(max_points = default.max_points)
-      ?(symbolic = default.symbolic) ?(jobs = default.jobs) ?(chunk = default.chunk)
-      ?(tick_every = default.tick_every) ?checkpoint
-      ?(checkpoint_every = default.checkpoint_every) ?(resume = default.resume)
+      ?(symbolic = default.symbolic) ?(jobs = default.jobs) ?(tick_every = default.tick_every)
+      ?checkpoint ?(checkpoint_every = default.checkpoint_every) ?(resume = default.resume)
       ?deadline_seconds ?(profile = default.profile) ?stop_requested () =
-    validate_run
-      { seed; max_points; symbolic; jobs; chunk; tick_every; checkpoint; checkpoint_every;
-        resume; deadline_seconds; profile; stop_requested }
-
-  let with_seed seed t = validate { t with seed }
-  let with_max_points max_points t = validate { t with max_points }
-  let with_symbolic symbolic t = validate { t with symbolic }
-  let with_jobs jobs t = validate { t with jobs }
-  let with_chunk chunk t = validate { t with chunk }
-
-  let with_checkpoint ?(every = default.checkpoint_every) path t =
-    validate { t with checkpoint = Some path; checkpoint_every = every }
-
-  let with_resume resume t = validate { t with resume }
-  let with_deadline deadline t = validate { t with deadline_seconds = Some deadline }
-  let with_profile profile t = validate { t with profile }
+    validate
+      { seed; max_points; symbolic; jobs; tick_every; checkpoint; checkpoint_every; resume;
+        deadline_seconds; profile; stop_requested }
 end
 
 let pareto_of evals =
@@ -181,64 +153,15 @@ let load_resume ~path ~space ~seed ~max_points ~total ~param_names =
         tbl
       end
 
-(* One worker-to-collector message: a contiguous run of outcomes starting
-   at sampling index [lo] (each with its resume flag and pipeline CPU
-   seconds), or a worker signing off. One message per *chunk* — not per
-   point — is what keeps the channel off the contention profile. *)
-type msg = Chunk of int * (Outcome.entry * bool * float) array | Worker_done
-
-(* Minimal mutex/condition channel between worker domains and the
-   collector. Unbounded: the collector's per-message work (merging a
-   chunk and an occasional checkpoint) is far cheaper than the chunk's
-   pipeline, so the queue stays shallow. [max_depth] tracks the
-   high-water mark under the lock (one compare per push); when profiling,
-   [?wait] accumulates the seconds a caller spent blocked — lock
-   acquisition on the send side, lock + condition wait on the receive
-   side — into a caller-owned ref, so the measurement itself shares no
-   state between domains. *)
-module Chan = struct
-  type 'a t = {
-    m : Mutex.t;
-    nonempty : Condition.t;
-    q : 'a Queue.t;
-    mutable max_depth : int;
-  }
-
-  let create () =
-    { m = Mutex.create (); nonempty = Condition.create (); q = Queue.create (); max_depth = 0 }
-
-  let push ?wait t x =
-    (match wait with
-    | None -> Mutex.lock t.m
-    | Some acc ->
-      let t0 = Unix.gettimeofday () in
-      Mutex.lock t.m;
-      acc := !acc +. (Unix.gettimeofday () -. t0));
-    Queue.push x t.q;
-    let d = Queue.length t.q in
-    if d > t.max_depth then t.max_depth <- d;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.m
-
-  let pop ?wait t =
-    let t0 = match wait with None -> 0.0 | Some _ -> Unix.gettimeofday () in
-    Mutex.lock t.m;
-    while Queue.is_empty t.q do
-      Condition.wait t.nonempty t.m
-    done;
-    (match wait with
-    | None -> ()
-    | Some acc -> acc := !acc +. (Unix.gettimeofday () -. t0));
-    let x = Queue.pop t.q in
-    Mutex.unlock t.m;
-    x
-end
+(* Points per cursor claim. A claim is one fetch-and-add, and worker 0
+   records after each of its own chunks, so the chunk bounds both claim
+   traffic and how long finished outcomes wait to be recorded. *)
+let chunk = 16
 
 let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
-  let cfg = Config.validate_run cfg in
-  let { Config.seed; max_points; symbolic; jobs; chunk; tick_every; checkpoint; checkpoint_every;
+  let { Config.seed; max_points; symbolic; jobs; tick_every; checkpoint; checkpoint_every;
         resume; deadline_seconds; profile; stop_requested } =
-    cfg
+    Config.validate cfg
   in
   Obs.span "dse.run"
     ~attrs:[ ("space", Space.name space); ("jobs", string_of_int jobs) ]
@@ -271,16 +194,17 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     | _ -> Hashtbl.create 1
   in
   (* The symbolic gate is derived once, before any worker starts, from a
-     fixed-seed probe sample — so every point (on every domain, at every
-     chunk size) consults the identical constraint system and the
-     bit-identical-checkpoint guarantee survives. It stands down while
-     fault injection is armed, because its probe elaborations would
-     consume fault sites the per-point replay expects. *)
+     fixed-seed probe sample — so every point (on every domain) consults
+     the identical constraint system and the bit-identical-checkpoint
+     guarantee survives. It stands down while fault injection is armed,
+     because its probe elaborations would consume fault sites the
+     per-point replay expects. *)
   let gate =
     if symbolic && not (Faults.active ()) then
       Some (Obs.span "dse.symgate" (fun () -> Symgate.derive ~space ~generate ()))
     else None
   in
+  let t_loop0 = Unix.gettimeofday () in
   let stats0 = Eval.stats ev in
   let past_deadline () =
     match deadline_seconds with
@@ -300,8 +224,8 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
      pipeline. Pure in the point index (sampling is seeded, fault sites
      are keyed by [with_key i], and [Eval]'s caches memoize pure functions
      of the design key — and stand down entirely while fault injection is
-     armed), which is what lets the parallel path promise results
-     bit-identical to the sequential one at any cache temperature. *)
+     armed), which is what lets any number of domains produce results
+     bit-identical to one domain's at any cache temperature. *)
   let compute ?stages i p =
     match Hashtbl.find_opt prior i with
     | Some e ->
@@ -342,9 +266,9 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
       in
       (e, false, Unix.gettimeofday () -. start)
   in
-  (* Collector state. Only the domain running the collector touches any of
+  (* Recording state. Only worker 0 (the calling domain) touches any of
      this — in particular the checkpoint file has a single writer, so the
-     atomic temp-file + rename protocol (and PR 3's resume guarantees) are
+     atomic temp-file + rename protocol and the resume guarantees are
      untouched by parallelism. *)
   let entries = ref [] (* (index, entry), newest first *) in
   let lint_pruned = ref 0 in
@@ -355,9 +279,8 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   let failures = ref [] in
   let processed = ref 0 in
   let cpu_seconds = ref 0.0 in
-  (* Profiled checkpoint writes accumulate into the collector's [write]
-     category; only the collector (or the sequential loop) calls this. *)
   let write_seconds = ref 0.0 in
+  let merge_seconds = ref 0.0 in
   let write_checkpoint () =
     match checkpoint with
     | None -> ()
@@ -393,242 +316,129 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     cpu_seconds := !cpu_seconds +. dt;
     if checkpoint_every > 0 && !processed mod checkpoint_every = 0 then write_checkpoint ()
   in
-  let truncated, attribution =
-    if jobs <= 1 then begin
-      (* Sequential path: exactly the pre-parallel sweep loop. When
-         profiling, the loop is accounted as one worker (stage split,
-         no send-block) and checkpoint writes as the collector. *)
-      let stages = if profile then Some (Eval.fresh_stages ()) else None in
-      let t_loop0 = if profile then Unix.gettimeofday () else 0.0 in
-      let truncated = ref false in
-      List.iteri
-        (fun i p ->
-          if not !truncated then begin
-            record i p (compute ?stages i p);
-            if should_stop () then truncated := true
-          end)
-        points;
-      let attribution =
-        match stages with
-        | None -> None
-        | Some a ->
-          let loop_wall = Unix.gettimeofday () -. t_loop0 in
-          let w_wall_s = Float.max 0.0 (loop_wall -. !write_seconds) in
-          let accounted = a.Eval.s_generate +. a.Eval.s_probe +. a.Eval.s_analyze +. a.Eval.s_estimate in
-          Some
-            {
-              Profile.jobs = 1;
-              wall_s = loop_wall;
-              workers =
-                [
-                  {
-                    Profile.w_domain = 0;
-                    w_points = !processed - !resumed;
-                    w_wall_s;
-                    w_generate_s = a.Eval.s_generate;
-                    w_probe_s = a.Eval.s_probe;
-                    w_analyze_s = a.Eval.s_analyze;
-                    w_estimate_s = a.Eval.s_estimate;
-                    w_send_block_s = 0.0;
-                    w_idle_s = Float.max 0.0 (w_wall_s -. accounted);
-                  };
-                ];
-              collector =
-                {
-                  Profile.c_wall_s = !write_seconds;
-                  c_recv_block_s = 0.0;
-                  c_reorder_stall_s = 0.0;
-                  c_write_s = !write_seconds;
-                  c_merge_s = 0.0;
-                };
-              max_queue_depth = 0;
-              max_reorder_occupancy = 0;
-            }
-      in
-      (!truncated, attribution)
-    end
-    else begin
-      (* Parallel path: [jobs] worker domains claim contiguous index
-         *ranges* (of [Config.chunk] points) from a shared atomic cursor,
-         run the pipeline into a buffer only they own, and send the
-         collector one message per chunk; the collector merges whole
-         chunks in sampling-index order through a reorder buffer. Chunked
-         claims keep the claim protocol a single fetch-and-add while
-         cutting channel traffic (and its condition-variable wakeups) by
-         the chunk factor — the contention Profile attributed the jobs>1
-         collapse to. When profiling, every accumulator below is either
-         owned by exactly one domain (stage/claims/send-block slots by
-         worker index, collector refs by the collector) or updated under
-         a lock that already exists, so the profiler adds no contention
-         of its own. *)
-      let points_arr = Array.of_list points in
-      let cursor = Atomic.make 0 in
-      let stop = Atomic.make false in
-      let chan : msg Chan.t = Chan.create () in
-      let obs_prof = profile && Obs.enabled () in
-      let stage_slots = Array.init jobs (fun _ -> Eval.fresh_stages ()) in
-      let claim_slots = Array.make jobs 0 in
-      let send_slots = Array.make jobs 0.0 in
-      let wall_slots = Array.make jobs 0.0 in
-      let worker k () =
-        Obs.with_domain_buffer ~track:(k + 1) @@ fun () ->
-        let stages = if profile then Some stage_slots.(k) else None in
-        let wait = if profile then Some (ref 0.0) else None in
-        let t_w0 = if profile then Unix.gettimeofday () else 0.0 in
-        (* Ship the first [n] outcomes of the chunk at [lo]. A chunk cut
-           short by a stop request ships as a shorter run; a chunk the
-           stop emptied entirely ships nothing (the collector's post-join
-           sweep releases past the gap). *)
-        let send lo buf n =
-          if n > 0 then begin
-            let payload = if n = Array.length buf then buf else Array.sub buf 0 n in
-            match wait with
-            | None -> Chan.push chan (Chunk (lo, payload))
-            | Some acc ->
-              let before = !acc in
-              Chan.push ~wait:acc chan (Chunk (lo, payload));
-              if obs_prof then Obs.observe "dse.chan.send_wait_us" ((!acc -. before) *. 1e6)
-          end
-        in
-        let rec loop () =
-          if not (Atomic.get stop) then begin
-            let lo = Atomic.fetch_and_add cursor chunk in
-            if lo < total then begin
-              let hi = min total (lo + chunk) in
-              let buf = Array.make (hi - lo) (Outcome.Pruned, false, 0.0) in
-              let n = ref 0 in
-              while lo + !n < hi && not (Atomic.get stop) do
-                let i = lo + !n in
-                buf.(!n) <- compute ?stages i points_arr.(i);
-                incr n;
-                if profile then claim_slots.(k) <- claim_slots.(k) + 1;
-                (* Mirror the sequential loop: the deadline (or a cancel
-                   request) is checked after each consumed point, and
-                   tripping it stops every worker from pulling further
-                   points. *)
-                if should_stop () then Atomic.set stop true
-              done;
-              send lo buf !n;
-              loop ()
-            end
-          end
-        in
-        loop ();
-        if profile then begin
-          wall_slots.(k) <- Unix.gettimeofday () -. t_w0;
-          (match wait with Some acc -> send_slots.(k) <- !acc | None -> ());
-          if obs_prof then Obs.count ~by:claim_slots.(k) (Printf.sprintf "dse.claims.w%d" (k + 1))
-        end
-      in
-      let recv_block = ref 0.0 in
-      let reorder_stall = ref 0.0 in
-      let max_pending = ref 0 in
-      let t_col0 = if profile then Unix.gettimeofday () else 0.0 in
-      let domains =
-        List.init jobs (fun k ->
-            Domain.spawn (fun () ->
-                Fun.protect ~finally:(fun () -> Chan.push chan Worker_done) (worker k)))
-      in
-      (* Reorder buffer, now chunk-granular: chunks arrive in completion
-         order, keyed by their first index; release them in index order so
-         entries, failures, counters and every periodic checkpoint match
-         the sequential run's byte for byte. Arrival stamps (profiling
-         only) measure how long out-of-order chunks sit parked before
-         their predecessor completes. *)
-      let pending = Hashtbl.create 64 in
-      let next_emit = ref 0 in
-      let live_workers = ref jobs in
-      let release () =
-        let rec go () =
-          match Hashtbl.find_opt pending !next_emit with
-          | None -> ()
-          | Some (arr, arrived) ->
-            Hashtbl.remove pending !next_emit;
-            if profile && arrived > 0.0 then
-              reorder_stall :=
-                !reorder_stall +. Float.max 0.0 (Unix.gettimeofday () -. arrived);
-            let lo = !next_emit in
-            Array.iteri (fun j r -> record (lo + j) points_arr.(lo + j) r) arr;
-            next_emit := lo + Array.length arr;
-            go ()
-        in
-        go ()
-      in
-      (* The collector's own telemetry (recv-wait samples, checkpoint
-         spans, progress ticks) goes through a track-0 domain buffer too,
-         so it never contends with worker flushes mid-sweep. *)
-      Obs.with_domain_buffer ~track:0 (fun () ->
-          let wait = if profile then Some recv_block else None in
-          while !live_workers > 0 do
-            let before = !recv_block in
-            let m = Chan.pop ?wait chan in
-            if obs_prof then Obs.observe "dse.chan.recv_wait_us" ((!recv_block -. before) *. 1e6);
-            match m with
-            | Worker_done -> decr live_workers
-            | Chunk (lo, arr) ->
-              Hashtbl.replace pending lo
-                (arr, if profile then Unix.gettimeofday () else 0.0);
-              if profile then max_pending := max !max_pending (Hashtbl.length pending);
-              release ()
+  (* The claim loop. Every worker claims [chunk]-point chunks from one
+     atomic cursor, writes each outcome into its index's slot, and then
+     publishes the chunk's length; the atomic publish orders the slot
+     writes before worker 0 reads them. A chunk a stop cut short publishes
+     the points it did compute (possibly none), and chunks never claimed
+     stay unpublished. At [jobs = 1] no domain is spawned and this is the
+     sequential sweep. When profiling, every accumulator is owned by
+     exactly one domain, so the profiler adds no contention of its own. *)
+  let points_arr = Array.of_list points in
+  let n_chunks = (total + chunk - 1) / chunk in
+  let slots = Array.make total (Outcome.Pruned, false, 0.0) in
+  let published = Array.init n_chunks (fun _ -> Atomic.make (-1)) in
+  let cursor = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let stage_slots = Array.init jobs (fun _ -> Eval.fresh_stages ()) in
+  let point_slots = Array.make jobs 0 in
+  let wall_slots = Array.make jobs 0.0 in
+  (* Worker 0 records published chunks in index order, so entries,
+     counters, ticks and periodic checkpoints match a one-domain run's.
+     Mid-sweep it stops at the first unpublished chunk; after the join
+     ([~all]) every chunk is final and unpublished ones are skipped. *)
+  let next_chunk = ref 0 in
+  let drain ~all =
+    let t = if profile then Unix.gettimeofday () else 0.0 in
+    let written = !write_seconds in
+    let rec go () =
+      if !next_chunk < n_chunks then begin
+        let n = Atomic.get published.(!next_chunk) in
+        if n >= 0 || all then begin
+          let lo = !next_chunk * chunk in
+          for i = lo to lo + n - 1 do
+            record i points_arr.(i) slots.(i)
           done;
-          List.iter Domain.join domains;
-          (* A tripped deadline can leave completed chunks beyond a gap (a
-             truncated chunk whose successors finished whole). Release
-             them too, still in index order: the checkpoint format
-             addresses entries by index, so a resumed sweep reuses every
-             one of them. *)
-          Hashtbl.fold (fun lo (arr, _) acc -> (lo, arr) :: acc) pending []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-          |> List.iter (fun (lo, arr) ->
-                 Array.iteri (fun j r -> record (lo + j) points_arr.(lo + j) r) arr));
-      let attribution =
-        if not profile then None
-        else begin
-          let c_wall = Unix.gettimeofday () -. t_col0 in
-          if obs_prof then begin
-            Obs.gauge "dse.chan.max_queue_depth" (float_of_int chan.Chan.max_depth);
-            Obs.gauge "dse.reorder.max_occupancy" (float_of_int !max_pending)
-          end;
-          Some
-            {
-              Profile.jobs;
-              wall_s = c_wall;
-              workers =
-                List.init jobs (fun k ->
-                    let a = stage_slots.(k) in
-                    let accounted =
-                      a.Eval.s_generate +. a.Eval.s_probe +. a.Eval.s_analyze
-                      +. a.Eval.s_estimate +. send_slots.(k)
-                    in
-                    {
-                      Profile.w_domain = k;
-                      w_points = claim_slots.(k);
-                      w_wall_s = wall_slots.(k);
-                      w_generate_s = a.Eval.s_generate;
-                      w_probe_s = a.Eval.s_probe;
-                      w_analyze_s = a.Eval.s_analyze;
-                      w_estimate_s = a.Eval.s_estimate;
-                      w_send_block_s = send_slots.(k);
-                      w_idle_s = Float.max 0.0 (wall_slots.(k) -. accounted);
-                    });
-              collector =
-                {
-                  Profile.c_wall_s = c_wall;
-                  c_recv_block_s = !recv_block;
-                  c_reorder_stall_s = !reorder_stall;
-                  c_write_s = !write_seconds;
-                  c_merge_s =
-                    Float.max 0.0 (c_wall -. !recv_block -. !write_seconds);
-                };
-              max_queue_depth = chan.Chan.max_depth;
-              max_reorder_occupancy = !max_pending;
-            }
+          incr next_chunk;
+          go ()
         end
-      in
-      (Atomic.get stop, attribution)
+      end
+    in
+    go ();
+    if profile then
+      merge_seconds :=
+        !merge_seconds +. (Unix.gettimeofday () -. t) -. (!write_seconds -. written)
+  in
+  let work k =
+    let stages = if profile then Some stage_slots.(k) else None in
+    let t_w0 = if profile then Unix.gettimeofday () else 0.0 in
+    let rec loop () =
+      if not (Atomic.get stop) then begin
+        let c = Atomic.fetch_and_add cursor 1 in
+        if c < n_chunks then begin
+          let lo = c * chunk in
+          let hi = min total (lo + chunk) in
+          let i = ref lo in
+          (* The deadline (or a cancel request) is checked after each
+             point, and tripping it stops every worker from computing
+             further points. *)
+          while !i < hi && not (Atomic.get stop) do
+            slots.(!i) <- compute ?stages !i points_arr.(!i);
+            incr i;
+            if should_stop () then Atomic.set stop true
+          done;
+          Atomic.set published.(c) (!i - lo);
+          if profile then point_slots.(k) <- point_slots.(k) + (!i - lo);
+          if k = 0 then drain ~all:false;
+          loop ()
+        end
+      end
+    in
+    loop ();
+    if profile then begin
+      wall_slots.(k) <- Unix.gettimeofday () -. t_w0;
+      if Obs.enabled () then Obs.count ~by:point_slots.(k) (Printf.sprintf "dse.claims.w%d" k)
     end
   in
+  (* Spawned workers record telemetry into per-domain buffers on their own
+     trace lanes; worker 0 records on the caller's path. *)
+  let domains =
+    List.init (jobs - 1) (fun j ->
+        let k = j + 1 in
+        Domain.spawn (fun () -> Obs.with_domain_buffer ~track:k (fun () -> work k)))
+  in
+  (match work 0 with
+  | () -> List.iter Domain.join domains
+  | exception e ->
+    Atomic.set stop true;
+    List.iter (fun d -> try Domain.join d with _ -> ()) domains;
+    raise e);
+  drain ~all:true;
   if checkpoint <> None then write_checkpoint ();
+  let attribution =
+    if not profile then None
+    else begin
+      let now = Unix.gettimeofday () in
+      (* Worker 0's wall runs through the final checkpoint, so setup plus
+         it is the whole run. *)
+      wall_slots.(0) <- now -. t_loop0;
+      Some
+        {
+          Profile.jobs;
+          wall_s = now -. t0;
+          setup_s = t_loop0 -. t0;
+          merge_s = !merge_seconds;
+          write_s = !write_seconds;
+          workers =
+            List.init jobs (fun k ->
+                let a = stage_slots.(k) in
+                let accounted =
+                  a.Eval.s_generate +. a.Eval.s_probe +. a.Eval.s_analyze +. a.Eval.s_estimate
+                  +. if k = 0 then !merge_seconds +. !write_seconds else 0.0
+                in
+                {
+                  Profile.w_domain = k;
+                  w_points = point_slots.(k);
+                  w_wall_s = wall_slots.(k);
+                  w_generate_s = a.Eval.s_generate;
+                  w_probe_s = a.Eval.s_probe;
+                  w_analyze_s = a.Eval.s_analyze;
+                  w_estimate_s = a.Eval.s_estimate;
+                  w_idle_s = Float.max 0.0 (wall_slots.(k) -. accounted);
+                });
+        }
+    end
+  in
   let evaluations =
     List.rev_map (function _, Outcome.Evaluated e -> Some e | _ -> None) !entries
     |> List.filter_map Fun.id
@@ -655,7 +465,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     dep_pruned = !dep_pruned;
     sym_pruned = !sym_pruned;
     resumed = !resumed;
-    truncated;
+    truncated = Atomic.get stop;
     jobs;
     elapsed_seconds = elapsed;
     cpu_seconds = !cpu_seconds;

@@ -11,12 +11,12 @@
     run. Sweeps can checkpoint to disk and resume after a crash, and a
     deadline turns a too-long run into a flagged partial result.
 
-    Sweeps are configured through a {!Config.t} record (defaults +
-    [with_*] builders) and, with [Config.jobs] > 1, run on a pool of
-    worker domains that claim contiguous index {e chunks} and whose
-    outcome chunks a collector merges back in sampling-index order —
-    results and checkpoint files are bit-identical across every jobs
-    level, chunk size, and {!Eval} cache temperature.
+    Sweeps are configured through a {!Config.t} record built by
+    {!Config.make}. One claim loop runs every sweep: the calling domain is
+    worker 0, [Config.jobs - 1] more domains join it, and worker 0 records
+    every outcome in sampling-index order — results and checkpoint files
+    are bit-identical across every jobs level and {!Eval} cache
+    temperature.
 
     Per-point evaluation itself — generate → lint → estimate behind the
     design-key caches — lives in {!Eval}; [run] takes the
@@ -77,7 +77,9 @@ type result = {
           concrete passes. *)
   resumed : int;  (** Points reused from a checkpoint instead of recomputed. *)
   truncated : bool;  (** The deadline stopped the sweep early. *)
-  jobs : int;  (** Worker domains the sweep ran with (1 = sequential). *)
+  jobs : int;
+      (** Computing domains the sweep ran with, the caller included (1 =
+          no domain spawned). *)
   elapsed_seconds : float;  (** Wall-clock duration of the whole sweep. *)
   cpu_seconds : float;
       (** Aggregate CPU seconds spent inside point pipelines, summed over
@@ -90,19 +92,18 @@ type result = {
           is approximate; totals across sweeps are exact. *)
   cache_misses : int;  (** Counterpart of [cache_hits]. *)
   attribution : Profile.t option;
-      (** Where every worker- and collector-second went ([Some] iff
-          [Config.profile] was set): per-worker
-          {generate, analyze, estimate, send-block, idle} and collector
-          {recv-block, reorder-stall, write, merge} accounting, plus peak
-          channel queue depth and reorder-buffer occupancy. See
+      (** Where every second of the run went ([Some] iff [Config.profile]
+          was set): setup, per-worker
+          {generate, cache-probe, analyze, estimate, idle} accounting,
+          and worker 0's merge and checkpoint-write time. See
           {!Profile}. *)
 }
 
 (** Sweep configuration: one validated record instead of the
-    labelled-optional-argument signature [run] used to have. Start from
-    {!Config.default} (the paper's settings: seed 2016, up to 75,000
-    sampled points, symbolic gate on, sequential) and refine with the
-    [with_*] builders, or construct in one call with {!Config.make}. *)
+    labelled-optional-argument signature [run] used to have. Build it
+    with {!Config.make}; every field it is not given takes
+    {!Config.default}'s value (the paper's settings: seed 2016, up to
+    75,000 sampled points, symbolic gate on, one domain). *)
 module Config : sig
   type t = {
     seed : int;  (** Sampling seed (the paper uses 2016). *)
@@ -113,26 +114,20 @@ module Config : sig
             is not armed. Symbolically refuted points count as
             [sym_pruned] and are never generated; every other point runs
             the full pipeline. *)
-    jobs : int;  (** Worker domains; 1 (default) = sequential. *)
-    chunk : int;
-        (** Points per cursor claim and per worker→collector message when
-            [jobs > 1] (default 16). Larger chunks cut channel traffic
-            and wakeups; smaller chunks balance load better near the end
-            of a sweep. No effect on results: the collector releases
-            chunks in index order, so entries and checkpoints stay
-            bit-identical across chunk sizes. Ignored when [jobs = 1]. *)
+    jobs : int;
+        (** Computing domains, the caller included; 1 (default) spawns
+            none. *)
     tick_every : int;  (** Progress tick on stderr every N points; 0 off. *)
     checkpoint : string option;  (** JSONL checkpoint path. *)
     checkpoint_every : int;  (** Periodic write cadence; 0 = only at end. *)
     resume : bool;  (** Reuse entries from [checkpoint] before computing. *)
     deadline_seconds : float option;  (** Stop consuming points after this. *)
     profile : bool;
-        (** Attribute worker/collector time (see {!Profile}); fills
+        (** Attribute the run's time (see {!Profile}); fills
             [result.attribution]. Independent of the Obs sink — when both
-            are on, wait histograms and per-domain claim counters are also
-            recorded. Off (the default) the sweep pays only a per-stage
-            branch, keeping jobs=1 throughput within noise of unprofiled
-            builds. *)
+            are on, per-domain claim counters are also recorded. Off (the
+            default) the sweep pays only a per-stage branch, keeping
+            throughput within noise of unprofiled builds. *)
     stop_requested : (unit -> bool) option;
         (** Cooperative cancellation hook, polled after every consumed
             point (all jobs levels). Returning [true] stops the sweep
@@ -146,9 +141,6 @@ module Config : sig
   val max_jobs : int
   (** Upper bound accepted for [jobs] (64). *)
 
-  val max_chunk : int
-  (** Upper bound accepted for [chunk] (65536). *)
-
   val default : t
 
   val make :
@@ -156,7 +148,6 @@ module Config : sig
     ?max_points:int ->
     ?symbolic:bool ->
     ?jobs:int ->
-    ?chunk:int ->
     ?tick_every:int ->
     ?checkpoint:string ->
     ?checkpoint_every:int ->
@@ -170,29 +161,6 @@ module Config : sig
       result is validated (raises [Failure] with a CLI-renderable message
       on [jobs] outside [1, max_jobs], negative budgets or cadences, a
       non-finite/negative deadline, or [resume] without [checkpoint]). *)
-
-  val with_seed : int -> t -> t
-  val with_max_points : int -> t -> t
-  val with_symbolic : bool -> t -> t
-
-  val with_jobs : int -> t -> t
-  (** Raises [Failure] unless [1 <= jobs <= max_jobs]. *)
-
-  val with_chunk : int -> t -> t
-  (** Raises [Failure] unless [1 <= chunk <= max_chunk]. *)
-
-  val with_checkpoint : ?every:int -> string -> t -> t
-  (** Set the checkpoint path and (optionally) the periodic write cadence. *)
-
-  val with_resume : bool -> t -> t
-  (** The [resume]/[checkpoint] pairing is checked when the config is
-      consumed by {!run} (or built by {!make}), so builder order between
-      [with_resume] and [with_checkpoint] does not matter. *)
-
-  val with_deadline : float -> t -> t
-
-  val with_profile : bool -> t -> t
-  (** Toggle time attribution; see {!Profile} and [result.attribution]. *)
 end
 
 val run :
@@ -231,23 +199,24 @@ val run :
     off only in entries' pruned kind ([sym_pruned] vs
     [absint_pruned]/[dep_pruned]).
 
-    {b Parallel sweeps.} With [config.jobs = n > 1], [n] worker domains
-    claim contiguous runs of [config.chunk] point indices from a shared
-    atomic cursor, evaluate each chunk into a buffer only they own, and
-    send the collector (the calling domain) one message per chunk; the
-    collector merges whole chunks back in sampling-index order through a
-    chunk-granular reorder buffer. Because sampling is seeded, fault
-    sites are keyed per point index ({!Dhdl_util.Faults.with_key}) and
-    the pipeline shares no mutable per-sweep state (the {!Eval} caches
-    memoize pure functions of the design key), the parallel result —
-    evaluations, failures, Pareto set, counters — and its checkpoint file
-    are {e bit-identical} to the sequential run's at any chunk size and
-    cache temperature; only [elapsed_seconds]/[cpu_seconds] differ. The
-    estimator and generator must not hide process-global mutable state for
-    this to hold (every in-tree app and the estimator satisfy this).
-    Worker telemetry lands in per-domain scratch buffers
-    ({!Dhdl_obs.Obs.with_domain_buffer}), and only the collector writes
-    the checkpoint file.
+    {b One claim loop.} The calling domain is worker 0 and
+    [config.jobs - 1] more domains join it (none at [jobs = 1]). Every
+    worker claims 16-point chunks from one atomic cursor, writes each
+    outcome into its index's slot of a per-sweep array, and publishes the
+    chunk's length. Only worker 0 records outcomes — after each of its own
+    chunks and once after joining the others — walking published chunks
+    in index order. Because sampling is seeded, fault sites are keyed per
+    point index ({!Dhdl_util.Faults.with_key}) and the pipeline shares no
+    mutable per-sweep state (the {!Eval} caches memoize pure functions of
+    the design key), the result — evaluations, failures, Pareto set,
+    counters — and its checkpoint file are {e bit-identical} at every
+    jobs level and cache temperature; only
+    [elapsed_seconds]/[cpu_seconds] differ. The estimator and generator
+    must not hide process-global mutable state for this to hold (every
+    in-tree app and the estimator satisfy this). Spawned workers' telemetry
+    lands in per-domain scratch buffers
+    ({!Dhdl_obs.Obs.with_domain_buffer}), and only worker 0 writes the
+    checkpoint file.
 
     {b Fault isolation.} Each point runs inside an exception barrier: an
     exception from the generator, the lint pass, or the estimator — or an
@@ -276,7 +245,8 @@ val run :
     finishes the job. Under [jobs > 1] the deadline stops every worker
     from pulling further indices; already-completed points beyond a
     truncation gap are kept (the checkpoint addresses entries by index,
-    so a resume reuses them all).
+    so a resume reuses them all). [config.stop_requested] is polled after
+    every point on every worker, with the same effect.
 
     When the {!Dhdl_obs.Obs} sink is enabled the sweep records counters
     ([dse.points_sampled] / [dse.lint_pruned] / [dse.absint_pruned] /
@@ -291,18 +261,16 @@ val run :
     disabled (the default) none of this costs anything.
 
     {b Profiling.} With [config.profile = true] the sweep additionally
-    attributes every worker-second to
-    {generate, cache-probe, analyze, estimate, send-block, idle} and every
-    collector-second to {recv-block, reorder-stall, write, merge},
-    returning the breakdown in [result.attribution] (see {!Profile}).
-    Attribution accumulators are owned by exactly one domain each, so
-    profiling adds no cross-domain contention and — because it never
-    touches the point pipeline's inputs — leaves results and checkpoints
-    bit-identical to unprofiled runs at every jobs level. When the Obs
-    sink is {e also} enabled, the sweep records [dse.chan.send_wait_us] /
-    [dse.chan.recv_wait_us] wait histograms, [dse.chan.max_queue_depth] /
-    [dse.reorder.max_occupancy] gauges, and per-domain [dse.claims.w<k>]
-    cursor-claim counters. *)
+    attributes the run's time to setup, every worker-second to
+    {generate, cache-probe, analyze, estimate, idle}, and worker 0's
+    bookkeeping to {merge, write}, returning the breakdown in
+    [result.attribution] (see {!Profile}). Attribution accumulators are
+    owned by exactly one domain each, so profiling adds no cross-domain
+    contention and — because it never touches the point pipeline's inputs
+    — leaves results and checkpoints bit-identical to unprofiled runs at
+    every jobs level. When the Obs sink is {e also} enabled, the sweep
+    records per-domain [dse.claims.w<k>] counters of the points worker
+    [k] computed. *)
 
 val unfit_count : result -> int
 (** Evaluated points that do not fit the device ([valid = false]) —
@@ -324,7 +292,7 @@ val seconds_per_design : result -> float
 (** Average {e wall-clock} time per design point that actually produced an
     estimate — lint-pruned and failed points skip or abort the estimator
     and would deflate the metric (Table IV's metric). With [jobs > 1] this
-    shrinks with the worker count; use {!cpu_seconds_per_design} for a
+    can shrink with the domain count; use {!cpu_seconds_per_design} for a
     number comparable across jobs levels. *)
 
 val cpu_seconds_per_design : result -> float

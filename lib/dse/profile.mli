@@ -1,31 +1,29 @@
-(** Contention-aware sweep attribution: where every worker-second and
-    collector-second of a profiled {!Explore.run} went.
+(** Sweep attribution: where every second of a profiled {!Explore.run}
+    went.
 
     The taxonomy (see DESIGN.md):
     {ul
-    {- worker time splits into [generate] (design elaboration),
+    {- [setup] covers sampling, the resume load and the symbolic gate's
+       derivation — everything before the first point is claimed;}
+    {- each worker's time splits into [generate] (design elaboration),
        [cache-probe] (deriving design keys and probing/filling the
        {!Eval} caches), [analyze] (lint + abstract interpretation),
-       [estimate] (the area/cycle/NN estimator), [send-block] (blocked acquiring the
-       collector-channel mutex — {e contention}), and [idle] (the residual:
-       cursor claims, fault-key bookkeeping, loop overhead — {e stall});}
-    {- collector time splits into [recv-block] (blocked waiting for worker
-       messages), [checkpoint write], and [merge] (releasing outcomes and
-       accounting — the residual);}
-    {- the reorder buffer reports the total latency outcomes spent parked
-       out of sampling-index order (this {e overlaps} recv-block: the
-       collector is usually blocked while an entry is parked) plus its
-       peak occupancy.}}
+       [estimate] (the area/cycle/NN estimator) — together {e work} — and
+       [idle] (the residual: cursor claims, fault-key bookkeeping, loop
+       overhead, and worker 0 waiting to join the others);}
+    {- worker 0, the calling domain, also records every outcome in
+       sampling-index order ([merge]) and writes the checkpoints
+       ([write]). Idle, merge and write together are {e stall}.}}
 
+    Worker 0's wall runs from the first claim through the final
+    checkpoint, so [setup_s] plus worker 0's wall is the whole run.
     Attribution is measured with plain [Unix.gettimeofday] stamps
     accumulated into per-worker records that only the owning domain
     writes, so profiling itself adds no cross-domain contention; it is
-    entirely independent of the {!Dhdl_obs.Obs} sink (which, when also
-    enabled, additionally receives wait histograms and per-domain
-    counters). *)
+    entirely independent of the {!Dhdl_obs.Obs} sink. *)
 
 type worker = {
-  w_domain : int;  (** Worker index, 0-based ([jobs = 1] has exactly one). *)
+  w_domain : int;  (** Worker index, 0-based; worker 0 is the calling domain. *)
   w_points : int;  (** Points this worker computed (over chunked claims). *)
   w_wall_s : float;  (** The worker's own wall-clock span. *)
   w_generate_s : float;
@@ -35,27 +33,18 @@ type worker = {
           masquerades as analysis work. *)
   w_analyze_s : float;  (** Lint + absint + dependence checking (misses only). *)
   w_estimate_s : float;
-  w_send_block_s : float;  (** Blocked sending to the collector channel. *)
-  w_idle_s : float;  (** Residual: [wall - (the five above)], clamped at 0. *)
-}
-
-type collector = {
-  c_wall_s : float;
-  c_recv_block_s : float;  (** Blocked waiting on the channel. *)
-  c_reorder_stall_s : float;
-      (** Total time outcomes sat parked in the reorder buffer waiting for
-          a preceding index; overlaps [c_recv_block_s]. *)
-  c_write_s : float;  (** Checkpoint serialization + atomic rename. *)
-  c_merge_s : float;  (** Residual: releasing/accounting outcomes. *)
+  w_idle_s : float;
+      (** Residual: wall minus the four above (and, for worker 0, minus
+          merge and write), clamped at 0. *)
 }
 
 type t = {
   jobs : int;
-  wall_s : float;  (** Whole-sweep wall clock. *)
-  workers : worker list;  (** One per worker domain, in index order. *)
-  collector : collector;
-  max_queue_depth : int;  (** Peak collector-channel queue length. *)
-  max_reorder_occupancy : int;  (** Peak parked entries in the reorder buffer. *)
+  wall_s : float;  (** The whole run, from sampling through the final checkpoint. *)
+  setup_s : float;  (** Sampling, resume load and {!Symgate.derive}. *)
+  merge_s : float;  (** Worker 0 recording outcomes in sampling-index order. *)
+  write_s : float;  (** Checkpoint serialization + atomic rename (worker 0). *)
+  workers : worker list;  (** One per computing domain, in index order. *)
 }
 
 val worker_seconds : t -> float
@@ -65,26 +54,14 @@ val work_fraction : t -> float
 (** Share of accounted worker time doing real work
     (generate + cache-probe + analyze + estimate). *)
 
-val contention_fraction : t -> float
-(** Share of accounted worker time blocked on shared resources
-    (send-block). *)
-
 val stall_fraction : t -> float
-(** Share of accounted worker time idle (the residual category).
-    [work_fraction + contention_fraction + stall_fraction = 1.0] exactly
+(** Share of accounted worker time spent on anything else (idle, merge,
+    write). [work_fraction + stall_fraction = 1.0] up to float rounding
     (fractions are taken over the accounted sum, not raw wall time). *)
 
-val contenders : t -> (string * float) list
-(** Seconds lost per contended resource: collector-channel send / recv,
-    reorder buffer, checkpoint write. *)
-
-val top_contender : t -> string * float
-(** The {!contenders} entry with the most seconds ([("none", 0.)] when
-    nothing waited). *)
-
 val render : t -> string
-(** Human-readable attribution report: headline fractions, top contended
-    resource, a per-worker table, and the collector breakdown. *)
+(** Human-readable attribution report: headline fractions, worker 0's
+    bookkeeping, and a per-worker table. *)
 
 val to_json : t -> Dhdl_util.Json.t
 (** The whole record as one JSON object (fractions included), embeddable

@@ -99,12 +99,12 @@ val with_domain_buffer : ?track:int -> (unit -> 'a) -> 'a
     buffer installed: {!span}, {!count} and {!observe} from the calling
     domain record into the buffer without touching the sink mutex, and the
     buffer is merged into the global sink under a single lock acquisition
-    when [f] returns (also on exception). Parallel DSE worker domains wrap
+    when [f] returns (also on exception). Spawned DSE worker domains wrap
     their whole work loop in this so per-point telemetry never contends
     on the hot path. [track] (default 0) tags the buffered spans' lane
-    identity: the parallel DSE engine passes worker index [+ 1], keeping
-    track 0 for the collector/main domain. Counter totals merge exactly;
-    histogram reservoirs merge by replaying the kept samples into the
+    identity: the DSE engine passes each spawned worker's index (1, 2,
+    ...), keeping track 0 for the calling domain, which is worker 0.
+    Counter totals merge exactly; histogram reservoirs merge by replaying the kept samples into the
     global reservoir with the dropped remainder added to the true count;
     buffered spans receive fresh global sequence numbers at flush time, so
     they sort after spans already in the sink. The time the flush spends

@@ -464,10 +464,7 @@ let run_absint_sweep config =
    elaboration; these tests exercise the *concrete* classification
    machinery, so they run with the gate off. *)
 let test_explore_absint_pruning () =
-  let base =
-    Explore.Config.(default |> with_seed 1 |> with_max_points 10 |> with_symbolic false)
-  in
-  let r = run_absint_sweep base in
+  let r = run_absint_sweep (Explore.Config.make ~seed:1 ~max_points:10 ~symbolic:false ()) in
   check_int "sampled both points" 2 r.Explore.sampled;
   check_int "proof refutation pruned the bad point" 1 r.Explore.absint_pruned;
   check_int "no heuristic pruning" 0 r.Explore.lint_pruned;
@@ -476,12 +473,10 @@ let test_explore_absint_pruning () =
 let test_checkpoint_roundtrips_absint_pruned () =
   let path = Filename.temp_file "absint" ".jsonl" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
-  let base =
-    Explore.Config.(default |> with_seed 1 |> with_max_points 10 |> with_symbolic false)
-  in
-  let r = run_absint_sweep Explore.Config.(base |> with_checkpoint path) in
+  let cfg = Explore.Config.make ~seed:1 ~max_points:10 ~symbolic:false ~checkpoint:path in
+  let r = run_absint_sweep (cfg ()) in
   check_int "pruned on first run" 1 r.Explore.absint_pruned;
-  let r2 = run_absint_sweep Explore.Config.(base |> with_checkpoint path |> with_resume true) in
+  let r2 = run_absint_sweep (cfg ~resume:true ()) in
   check_int "every point resumed" 2 r2.Explore.resumed;
   check_int "absint_pruned survives the checkpoint" 1 r2.Explore.absint_pruned;
   check_int "evaluations survive too" 1 (List.length r2.Explore.evaluations)

@@ -88,6 +88,44 @@ let test_params_recorded () =
   let d = App.generate_default app app.App.test_sizes in
   check_bool "params in design" true (List.mem_assoc "parP1" d.Ir.d_params)
 
+(* An omitted parameter means its [default_params] value: the empty
+   binding and every one-key binding equal to its default build the
+   default design, key for key. *)
+let test_partial_bindings_resolve_to_defaults () =
+  let module Key = Dhdl_model.Design_key in
+  List.iter
+    (fun (app : App.t) ->
+      let sizes = app.App.paper_sizes in
+      let defaults = app.App.default_params sizes in
+      let key params = Key.of_design (app.App.generate ~sizes ~params) in
+      let expected = key defaults in
+      check_bool (app.App.name ^ " empty binding") true (key [] = expected);
+      List.iter
+        (fun kv ->
+          check_bool (Printf.sprintf "%s %s=%d" app.App.name (fst kv) (snd kv)) true
+            (key [ kv ] = expected))
+        defaults)
+    Registry.all
+
+(* [divisor_tile] against its definition over all divisors of [n]. *)
+let test_divisor_tile () =
+  let spec ~n ~cap ~par =
+    let ds = List.filter (fun d -> d <= cap) (Dhdl_util.Intmath.divisors n) in
+    match List.rev (List.filter (fun d -> d mod par = 0) ds) with
+    | d :: _ -> d
+    | [] -> ( match List.rev ds with d :: _ -> d | [] -> n)
+  in
+  for n = 1 to 300 do
+    List.iter
+      (fun cap ->
+        List.iter
+          (fun par ->
+            check_int (Printf.sprintf "n=%d cap=%d par=%d" n cap par) (spec ~n ~cap ~par)
+              (App.divisor_tile ~n ~cap ~par))
+          [ 1; 2; 3; 4; 8 ])
+      [ 0; 1; 7; 64; 500 ]
+  done
+
 (* ------------------------- Functional correctness ------------------ *)
 
 let run_app app sizes params inputs = Interp.run (app.App.generate ~sizes ~params) ~inputs
@@ -241,6 +279,9 @@ let () =
           Alcotest.test_case "spaces legal" `Quick test_spaces_nonempty_and_legal;
           Alcotest.test_case "deterministic" `Quick test_generation_deterministic;
           Alcotest.test_case "params recorded" `Quick test_params_recorded;
+          Alcotest.test_case "partial bindings resolve to defaults" `Quick
+            test_partial_bindings_resolve_to_defaults;
+          Alcotest.test_case "divisor tile" `Quick test_divisor_tile;
         ] );
       ( "correctness",
         [

@@ -75,7 +75,7 @@ let run_explore () =
   let app = Dhdl_apps.Registry.find "dotproduct" in
   let sizes = [ ("n", 65_536) ] in
   Explore.run
-    Explore.Config.(default |> with_seed 11 |> with_max_points 120)
+    (Explore.Config.make ~seed:11 ~max_points:120 ())
     (Eval.create (Lazy.force estimator))
     ~space:(app.App.space sizes)
     ~generate:(fun p -> app.App.generate ~sizes ~params:p)

@@ -285,7 +285,7 @@ let test_explore_prunes_lint_errors () =
   let generate p = if List.assoc "racy" p = 1 then race_design () else clean () in
   let r =
     Explore.run
-      Explore.Config.(default |> with_seed 3 |> with_max_points 10)
+      (Explore.Config.make ~seed:3 ~max_points:10 ())
       (Eval.create est) ~space ~generate
   in
   check_int "sampled both points" 2 r.Explore.sampled;

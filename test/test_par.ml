@@ -27,13 +27,13 @@ let mixed_faults () =
   Faults.configure ~seed:5 ~p:0.0 ();
   List.iter (fun s -> Faults.set_site s 0.05) [ "dse.generator"; "dse.lint"; "dse.estimator" ]
 
-let run_sweep ?checkpoint ?checkpoint_every ?resume ?deadline_seconds ?(jobs = 1) ?(seed = 11)
-    ?(max_points = 80) est =
+let run_sweep ?checkpoint ?checkpoint_every ?resume ?deadline_seconds ?stop_requested ?(jobs = 1)
+    ?(seed = 11) ?(max_points = 80) est =
   let app = Dhdl_apps.Registry.find "dotproduct" in
   let sizes = [ ("n", 65_536) ] in
   let cfg =
     Explore.Config.make ~seed ~max_points ?checkpoint ?checkpoint_every ?resume ?deadline_seconds
-      ~jobs ()
+      ?stop_requested ~jobs ()
   in
   Explore.run cfg (Eval.create est)
     ~space:(app.App.space sizes)
@@ -61,30 +61,20 @@ let test_config_defaults () =
   check_bool "no checkpoint by default" true (d.Explore.Config.checkpoint = None)
 
 let test_config_rejects () =
-  check_bool "jobs 0 rejected" true
-    (fails_with_failure (fun () -> Explore.Config.(default |> with_jobs 0)));
+  check_bool "jobs 0 rejected" true (fails_with_failure (fun () -> Explore.Config.make ~jobs:0 ()));
   check_bool "negative jobs rejected" true
     (fails_with_failure (fun () -> Explore.Config.make ~jobs:(-3) ()));
   check_bool "jobs above max_jobs rejected" true
-    (fails_with_failure (fun () ->
-         Explore.Config.(default |> with_jobs (Explore.Config.max_jobs + 1))));
+    (fails_with_failure (fun () -> Explore.Config.make ~jobs:(Explore.Config.max_jobs + 1) ()));
   check_bool "negative budget rejected" true
-    (fails_with_failure (fun () -> Explore.Config.(default |> with_max_points (-1))));
+    (fails_with_failure (fun () -> Explore.Config.make ~max_points:(-1) ()));
   check_bool "nan deadline rejected" true
-    (fails_with_failure (fun () -> Explore.Config.(default |> with_deadline Float.nan)));
+    (fails_with_failure (fun () -> Explore.Config.make ~deadline_seconds:Float.nan ()));
   check_bool "resume without checkpoint rejected by make" true
-    (fails_with_failure (fun () -> Explore.Config.make ~resume:true ()))
-
-let test_config_builder_order () =
-  (* The resume/checkpoint pairing is checked at consumption time, so
-     setting resume before the checkpoint path must not raise mid-chain. *)
-  let cfg =
-    Explore.Config.(default |> with_resume true |> with_checkpoint ~every:10 (tmp "order.jsonl"))
-  in
-  check_bool "resume retained" true cfg.Explore.Config.resume;
-  check_int "cadence retained" 10 cfg.Explore.Config.checkpoint_every;
+    (fails_with_failure (fun () -> Explore.Config.make ~resume:true ()));
   check_bool "jobs accepted up to max" true
-    (Explore.Config.(default |> with_jobs max_jobs).Explore.Config.jobs = Explore.Config.max_jobs)
+    ((Explore.Config.make ~jobs:Explore.Config.max_jobs ()).Explore.Config.jobs
+    = Explore.Config.max_jobs)
 
 (* --------------- the tentpole: parallel == sequential ---------------- *)
 
@@ -157,6 +147,34 @@ let test_parallel_deadline () =
   check_bool "evaluations match from-scratch sweep" true
     (finished.Explore.evaluations = reference.Explore.evaluations)
 
+(* The cancellation hook is polled after every point: the DSE server's
+   [dse_cancel] and perfbench's per-point latency both rely on it. *)
+let test_stop_hook () =
+  let est = Lazy.force estimator in
+  let calls = ref 0 in
+  let r = run_sweep ~stop_requested:(fun () -> incr calls; false) est in
+  check_bool "hook never stopped the sweep" false r.Explore.truncated;
+  check_int "polled once per processed point" r.Explore.processed !calls;
+  (* A stop on the k-th poll lands mid-chunk; the final checkpoint still
+     holds exactly the k points computed, and resuming from it reaches
+     the uninterrupted sweep's bytes. *)
+  let full = tmp "stop_full.jsonl" and cut = tmp "stop_cut.jsonl" in
+  ignore (run_sweep ~checkpoint:full est);
+  let k = 21 in
+  let calls = ref 0 in
+  let r = run_sweep ~checkpoint:cut ~stop_requested:(fun () -> incr calls; !calls >= k) est in
+  check_int "stopped after k points" k r.Explore.processed;
+  check_bool "stop flags the result truncated" true r.Explore.truncated;
+  (match Checkpoint.load ~path:cut with
+  | Error msg -> Alcotest.fail msg
+  | Ok c -> check_int "checkpoint holds k entries" k (List.length c.Checkpoint.entries));
+  let resumed = run_sweep ~checkpoint:cut ~resume:true est in
+  check_int "resume reuses the k entries" k resumed.Explore.resumed;
+  Alcotest.(check string) "resumed checkpoint bytes" (read_file full) (read_file cut);
+  let r = run_sweep ~stop_requested:(fun () -> failwith "hook crashed") est in
+  check_bool "a raising hook counts as a stop" true r.Explore.truncated;
+  check_int "stopped after the first point" 1 r.Explore.processed
+
 (* ---------------------- telemetry under domains ---------------------- *)
 
 let counters_of () =
@@ -202,7 +220,6 @@ let () =
         [
           Alcotest.test_case "defaults" `Quick test_config_defaults;
           Alcotest.test_case "rejects bad fields" `Quick test_config_rejects;
-          Alcotest.test_case "builder order" `Quick test_config_builder_order;
         ] );
       ( "determinism",
         [
@@ -212,6 +229,7 @@ let () =
             test_parallel_clean_determinism;
           Alcotest.test_case "parallel resume" `Quick test_parallel_resume;
           Alcotest.test_case "parallel deadline" `Quick test_parallel_deadline;
+          Alcotest.test_case "stop hook" `Quick test_stop_hook;
         ] );
       ( "telemetry",
         [

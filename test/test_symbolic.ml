@@ -3,7 +3,7 @@
    contradict concrete analysis, over every registry app and seeded
    random bindings), the gate's routing assumption (a routed binding
    elaborates to its system's skeleton), the [Sym_pruned] checkpoint
-   round-trip, parallel / chunked byte-identity with the gate on, and
+   round-trip, byte-identity across jobs levels with the gate on, and
    the gate's point: a cold
    sweep with the gate on elaborates measurably fewer designs than
    [--no-symbolic] on an app with refutable regions.
@@ -272,12 +272,11 @@ let test_routing_matches_skeleton () =
 (* Sweep integration: Sym_pruned, checkpoints, byte identity           *)
 (* ------------------------------------------------------------------ *)
 
-let kmeans_sweep ?(points = 120) ?(jobs = 1) ?(chunk = 16) ?(symbolic = true) ?checkpoint
-    ?(resume = false) ev =
+let kmeans_sweep ?(points = 120) ?(jobs = 1) ?(symbolic = true) ?checkpoint ?(resume = false) ev
+    =
   let a = app "kmeans" in
   let cfg =
-    Explore.Config.make ~seed:2016 ~max_points:points ~symbolic ~jobs ~chunk ?checkpoint ~resume
-      ()
+    Explore.Config.make ~seed:2016 ~max_points:points ~symbolic ~jobs ?checkpoint ~resume ()
   in
   Explore.run cfg ev ~space:(space_of a) ~generate:(generate_of a)
 
@@ -305,17 +304,17 @@ let test_sym_pruned_checkpoint_roundtrip () =
   check_bool "resume reproduces the evaluations" true (eval_points r1 = eval_points r2);
   Sys.remove path
 
-let test_gate_byte_identity_across_jobs_chunk () =
+let test_gate_byte_identity_across_jobs () =
   let ev = Eval.create (Lazy.force estimator) in
   let files =
     List.map
-      (fun (jobs, chunk) ->
-        let path = tmp (Printf.sprintf "ident_j%d_c%d.jsonl" jobs chunk) in
+      (fun jobs ->
+        let path = tmp (Printf.sprintf "ident_j%d.jsonl" jobs) in
         if Sys.file_exists path then Sys.remove path;
-        let r = kmeans_sweep ~jobs ~chunk ~checkpoint:path ev in
+        let r = kmeans_sweep ~jobs ~checkpoint:path ev in
         check_bool "parallel sweep still sym-prunes" true (r.Explore.sym_pruned > 0);
         path)
-      [ (1, 16); (2, 16); (2, 7); (4, 3) ]
+      [ 1; 2; 4 ]
   in
   match List.map read_file files with
   | [] -> assert false
@@ -378,8 +377,7 @@ let () =
         [
           Alcotest.test_case "sym_pruned checkpoint roundtrip + resume" `Quick
             test_sym_pruned_checkpoint_roundtrip;
-          Alcotest.test_case "byte identity across jobs x chunk" `Quick
-            test_gate_byte_identity_across_jobs_chunk;
+          Alcotest.test_case "byte identity across jobs" `Quick test_gate_byte_identity_across_jobs;
           Alcotest.test_case "gate reduces elaborations" `Quick test_gate_reduces_elaborations;
         ] );
     ]
